@@ -4,6 +4,12 @@
 // data version (the simulator's stand-in for data values: every store
 // increments the version, so coherence bugs become visible as version
 // mismatches).
+//
+// Frames are allocated lazily: a set has no frames until its first
+// Victim call, and a set without frames behaves exactly like one whose
+// ways are all invalid. A run touches a small fraction of the paper's
+// 4 MB L2, so Build pays for a 4-byte slot per set instead of zeroing
+// every frame up front.
 package cache
 
 import (
@@ -21,10 +27,22 @@ type Line struct {
 	lastUse uint64
 }
 
+// Filled sets take their frames from chunks of chunkSets sets each. A
+// chunk is never reallocated, so a *Line handed out stays the same
+// frame for the cache's lifetime.
+const (
+	chunkShift = 6
+	chunkSets  = 1 << chunkShift
+)
+
 // Cache is a set-associative array. The zero value is not usable; use New.
 type Cache struct {
-	sets     [][]Line
-	numSets  int
+	// slots holds one entry per set: 0 if the set was never filled,
+	// else 1 + the set's position in fill order, which locates its
+	// frames in chunks.
+	slots    []uint32
+	chunks   [][]Line
+	filled   uint32
 	ways     int
 	useClock uint64
 }
@@ -39,30 +57,46 @@ func New(sizeBytes, ways int) *Cache {
 	if numSets == 0 || numSets&(numSets-1) != 0 {
 		panic(fmt.Sprintf("cache: %d bytes / %d ways yields non-power-of-two set count %d", sizeBytes, ways, numSets))
 	}
-	c := &Cache{numSets: numSets, ways: ways}
-	c.sets = make([][]Line, numSets)
-	backing := make([]Line, numSets*ways)
-	for i := range c.sets {
-		c.sets[i] = backing[i*ways : (i+1)*ways]
-	}
-	return c
+	return &Cache{slots: make([]uint32, numSets), ways: ways}
 }
 
 // NumSets returns the set count.
-func (c *Cache) NumSets() int { return c.numSets }
+func (c *Cache) NumSets() int { return len(c.slots) }
 
 // Ways returns the associativity.
 func (c *Cache) Ways() int { return c.ways }
 
-func (c *Cache) set(a coherence.Addr) []Line {
-	idx := (uint64(a) / coherence.BlockBytes) & uint64(c.numSets-1)
-	return c.sets[idx]
+func (c *Cache) setIndex(a coherence.Addr) int {
+	return int((uint64(a) / coherence.BlockBytes) & uint64(len(c.slots)-1))
+}
+
+// frames returns set s's ways, or nil if the set was never filled.
+func (c *Cache) frames(s int) []Line {
+	slot := c.slots[s]
+	if slot == 0 {
+		return nil
+	}
+	slot--
+	base := int(slot&(chunkSets-1)) * c.ways
+	return c.chunks[slot>>chunkShift][base : base+c.ways]
+}
+
+// fill gives never-filled set s its frames, starting a new chunk when
+// the last one is full. A cache smaller than one chunk gets a chunk of
+// its own size.
+func (c *Cache) fill(s int) []Line {
+	if c.filled%chunkSets == 0 {
+		c.chunks = append(c.chunks, make([]Line, min(chunkSets, len(c.slots))*c.ways))
+	}
+	c.filled++
+	c.slots[s] = c.filled
+	return c.frames(s)
 }
 
 // Lookup returns the line holding block a, updating LRU, or nil.
 func (c *Cache) Lookup(a coherence.Addr) *Line {
 	a = coherence.BlockAddr(a)
-	set := c.set(a)
+	set := c.frames(c.setIndex(a))
 	for i := range set {
 		if set[i].Valid && set[i].Addr == a {
 			c.useClock++
@@ -76,7 +110,7 @@ func (c *Cache) Lookup(a coherence.Addr) *Line {
 // Peek returns the line holding block a without updating LRU, or nil.
 func (c *Cache) Peek(a coherence.Addr) *Line {
 	a = coherence.BlockAddr(a)
-	set := c.set(a)
+	set := c.frames(c.setIndex(a))
 	for i := range set {
 		if set[i].Valid && set[i].Addr == a {
 			return &set[i]
@@ -90,7 +124,11 @@ func (c *Cache) Peek(a coherence.Addr) *Line {
 // canEvict approves. It returns nil if every way is pinned (the caller
 // must stall). canEvict==nil approves everything.
 func (c *Cache) Victim(a coherence.Addr, canEvict func(*Line) bool) *Line {
-	set := c.set(coherence.BlockAddr(a))
+	s := c.setIndex(a)
+	set := c.frames(s)
+	if set == nil {
+		set = c.fill(s)
+	}
 	for i := range set {
 		if !set[i].Valid {
 			return &set[i]
@@ -122,16 +160,17 @@ func (c *Cache) Invalidate(a coherence.Addr) {
 	}
 }
 
-// ForEachSetLRU visits every valid line set by set, ordering the lines
-// within a set by recency (least recently used first) — the canonical
-// order for state fingerprinting: two caches behave identically under
-// future lookups and victim choices iff their per-set LRU rankings and
-// contents match, regardless of absolute useClock values. The callback
-// must not insert or remove lines.
+// ForEachSetLRU visits every valid line set by set, in ascending set
+// index, ordering the lines within a set by recency (least recently
+// used first) — the canonical order for state fingerprinting: two
+// caches behave identically under future lookups and victim choices iff
+// their per-set LRU rankings and contents match, regardless of absolute
+// useClock values or the order in which sets were first filled. The
+// callback must not insert or remove lines.
 func (c *Cache) ForEachSetLRU(fn func(set int, l *Line)) {
 	order := make([]int, c.ways)
-	for s := range c.sets {
-		set := c.sets[s]
+	for s := range c.slots {
+		set := c.frames(s)
 		n := 0
 		for w := range set {
 			if set[w].Valid {
@@ -151,13 +190,14 @@ func (c *Cache) ForEachSetLRU(fn func(set int, l *Line)) {
 	}
 }
 
-// ForEach visits every valid line. The callback must not insert or
-// remove lines.
+// ForEach visits every valid line in ascending set index. The callback
+// must not insert or remove lines.
 func (c *Cache) ForEach(fn func(*Line)) {
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			if c.sets[s][w].Valid {
-				fn(&c.sets[s][w])
+	for s := range c.slots {
+		set := c.frames(s)
+		for w := range set {
+			if set[w].Valid {
+				fn(&set[w])
 			}
 		}
 	}
@@ -171,11 +211,12 @@ func (c *Cache) CountValid() int {
 }
 
 // Clear invalidates every line (used when a recovery rebuilds cache
-// contents from the checkpoint log).
+// contents from the checkpoint log). Only filled sets have frames to
+// clear; they keep them.
 func (c *Cache) Clear() {
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			c.sets[s][w].Valid = false
+	for _, chunk := range c.chunks {
+		for i := range chunk {
+			chunk[i].Valid = false
 		}
 	}
 }

@@ -2,6 +2,7 @@ package system
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"specsimp/internal/directory"
@@ -19,7 +20,8 @@ var stressSeeds = []uint64{0x5eed0001, 0xbadc0ffe}
 // kind × workload grid: the plain 4×4 machine, a recovery-hammered 4×4
 // machine (rollback is when invariants are easiest to break), the
 // 64-node scaling geometry, and the 256-node machine under both wide
-// directory sharer-set formats (snooping kinds skip it: unsupported).
+// directory sharer-set formats (snooping kinds have no sharer set, so
+// they build the same 256-node machine under both).
 type stressCase struct {
 	name          string
 	width, height int
@@ -54,17 +56,35 @@ func stressStreams() []workload.Profile {
 // all four system Kinds × the stress streams (evaluation suite, sharing
 // idioms, Zipf/phase variant) and calls AuditInvariants at every
 // SafetyNet checkpoint (the system is quiesced there by construction).
-// Any violation reports the replay seed.
+// Any violation reports the replay seed. A subtest whose machines and
+// cycle budgets equal an earlier subtest's is simulated only there: the
+// snooping kinds under every 16×16 case but the first.
 func TestCrossKindInvariantStress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress suite skipped in -short mode")
 	}
 	kinds := []Kind{DirectoryFull, DirectorySpec, SnoopFull, SnoopSpec}
+	simulatedBy := map[string]string{} // rendered runs → subtest that simulates them
 	for _, sc := range stressCases {
 		for _, kind := range kinds {
 			for _, wl := range stressStreams() {
 				sc, kind, wl := sc, kind, wl
-				t.Run(sc.name+"/"+kind.String()+"/"+wl.Name, func(t *testing.T) {
+				name := sc.name + "/" + kind.String() + "/" + wl.Name
+				var runs []string
+				for _, seed := range stressSeeds {
+					cfg, cycles := stressConfig(sc, kind, wl, seed)
+					runs = append(runs, fmt.Sprintf("%+v cycles=%d", cfg, cycles))
+				}
+				key := strings.Join(runs, "\n")
+				twin, dup := simulatedBy[key]
+				if !dup {
+					simulatedBy[key] = name
+				}
+				t.Run(name, func(t *testing.T) {
+					if dup {
+						t.Logf("same machines and cycle budgets as %s, which audits them", twin)
+						return
+					}
 					t.Parallel()
 					for _, seed := range stressSeeds {
 						runStressCase(t, sc, kind, wl, seed)
@@ -150,8 +170,9 @@ func runShardedStressCase(t *testing.T, sc stressCase, kind Kind, seed uint64, s
 	return fmt.Sprintf("%+v", res)
 }
 
-func runStressCase(t *testing.T, sc stressCase, kind Kind, wl workload.Profile, seed uint64) {
-	t.Helper()
+// stressConfig returns the machine runStressCase builds for one replay
+// seed and the cycles it simulates.
+func stressConfig(sc stressCase, kind Kind, wl workload.Profile, seed uint64) (Config, sim.Time) {
 	cfg := DefaultConfigSized(kind, wl, sc.width, sc.height)
 	cfg.Seed = seed
 	cfg.CheckpointInterval = 2_000
@@ -169,13 +190,16 @@ func runStressCase(t *testing.T, sc stressCase, kind Kind, wl workload.Profile, 
 	if cfg.Nodes >= 256 && (wl.ZipfSkew > 0 || wl.Idiom == workload.IdiomBroadcast) {
 		cycles *= 5
 	}
+	return cfg, cycles
+}
+
+func runStressCase(t *testing.T, sc stressCase, kind Kind, wl workload.Profile, seed uint64) {
+	t.Helper()
+	cfg, cycles := stressConfig(sc, kind, wl, seed)
 	replay := fmt.Sprintf("replay: kind=%s workload=%s geom=%s seed=%#x",
 		kind, wl.Name, sc.name, seed)
 	s, err := BuildChecked(cfg)
 	if err != nil {
-		if !kind.IsDirectory() && cfg.Nodes > MaxSnoopNodes {
-			t.Skipf("unsupported geometry for %s: %v", kind, err)
-		}
 		t.Fatalf("build failed (%s): %v", replay, err)
 	}
 	audits := 0
