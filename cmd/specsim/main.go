@@ -15,7 +15,7 @@ import (
 	"sort"
 
 	"specsimp"
-	"specsimp/internal/sweepcli"
+	"specsimp/internal/campaign"
 )
 
 func main() {
@@ -70,7 +70,7 @@ func main() {
 	}
 	cfg.InjectRecoveryEvery = specsimp.Time(*inject)
 	if *shards != "0" {
-		n, rows, cols, err := sweepcli.ParseShards(*shards)
+		n, rows, cols, err := campaign.ParseShards(*shards)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -226,6 +226,26 @@ func TestBuildPlanValidation(t *testing.T) {
 	}
 }
 
+// TestZeroIntervalPointReportsError: a design point whose directory
+// machine has no checkpoint interval used to re-checkpoint at cycle 0
+// forever and hang the campaign; it now ends with a descriptive
+// per-point error in the CSV's error column.
+func TestZeroIntervalPointReportsError(t *testing.T) {
+	plan := buildPlan(t, `{"run_id": "t0", "quick": true, "repeats": 1, "parallel": 1,
+  "experiments": [{ "name": "checkpoint", "axes": { "interval": [0] } }]}`)
+	rep, err := campaign.Execute(plan, campaign.Options{Root: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	csv, err := os.ReadFile(filepath.Join(rep.Dir, "checkpoint.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(csv), "CheckpointInterval must be positive") {
+		t.Fatalf("zero-interval point did not report the config error:\n%s", csv)
+	}
+}
+
 // TestDigestIdentity pins what the resume digest covers: every identity
 // field changes it, and param order does not exist (maps are sorted).
 func TestDigestIdentity(t *testing.T) {

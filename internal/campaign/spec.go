@@ -162,8 +162,8 @@ func (s Spec) Canonical() []byte {
 
 // ParseShards parses the -shards request's two forms: "N" requests N
 // tiles auto-factored per design point, "RxC" pins the tile grid to
-// R rows by C columns. Shared (via sweepcli) by cmd/sweep and
-// cmd/specsim.
+// R rows by C columns and requests R*C tiles. Shared by campaign specs,
+// cmd/sweep (via sweepcli) and cmd/specsim.
 func ParseShards(s string) (shards, rows, cols int, err error) {
 	if r, c, ok := strings.Cut(strings.ToLower(s), "x"); ok {
 		rows, rerr := strconv.Atoi(r)

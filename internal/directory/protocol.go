@@ -121,20 +121,15 @@ type Protocol struct {
 	ks      []*sim.Kernel
 	shardOf []int
 
-	// OnMisSpeculation is invoked on a detected mis-speculation (Spec
-	// variant ordering violation, or a watchdog timeout). It must
-	// perform the recovery (reset, restore); the protocol abandons the
-	// current message. Nil panics on detection — useful in unit tests
-	// that must not mis-speculate.
-	OnMisSpeculation func(reason string)
-
-	// OnMisSpeculationAt, when non-nil, takes precedence over
-	// OnMisSpeculation and additionally receives the detecting node.
-	// Sharded systems wire it to *defer* the recovery to the next
-	// window edge (a detection must not mutate other shards mid-window);
-	// the detecting handler simply drops its message, exactly as it
-	// does under an immediate recovery.
-	OnMisSpeculationAt func(node coherence.NodeID, reason string)
+	// OnMisSpeculation is invoked on a detected mis-speculation (a Spec
+	// variant ordering violation) with the detecting node. It must
+	// perform the recovery (reset, restore) or arrange it: serial
+	// systems recover immediately, sharded systems *defer* the recovery
+	// to the next window edge (a detection must not mutate other shards
+	// mid-window). Either way the detecting handler drops its message.
+	// Nil panics on detection — useful in unit tests that must not
+	// mis-speculate.
+	OnMisSpeculation func(node coherence.NodeID, reason string)
 
 	caches []*cacheCtrl
 	dirs   []*dirCtrl
@@ -348,10 +343,11 @@ func (p *Protocol) ResetTransients() {
 	}
 }
 
-// TimeoutScan reports the first node (lowest id) whose outstanding
-// transaction has exceeded cfg.TimeoutCycles, if any. It reads every
-// node's TBEs, so sharded systems call it only from window-edge
-// control context (the system's watchdog), where all shards are
+// TimeoutScan is the §4 transaction-timeout deadlock detector's scan:
+// it reports the first node (lowest id) whose outstanding transaction
+// has exceeded cfg.TimeoutCycles, if any (never, when TimeoutCycles is
+// zero). It reads every node's TBEs, so the system's watchdog calls it
+// from control context, where a sharded system's shards are all
 // quiesced.
 func (p *Protocol) TimeoutScan() (coherence.NodeID, bool) {
 	if p.cfg.TimeoutCycles == 0 {
@@ -373,26 +369,6 @@ func (p *Protocol) TimeoutScan() (coherence.NodeID, bool) {
 // shard so totals stay shard-count-independent).
 func (p *Protocol) NoteTimeout() { p.sts[0].TimeoutsDetected.Inc() }
 
-// StartWatchdog arms the §4 transaction-timeout deadlock detector:
-// every interval it checks all transactions and reports a
-// mis-speculation if any has been outstanding longer than
-// cfg.TimeoutCycles. A no-op if TimeoutCycles is zero. Serial systems
-// only — sharded systems drive TimeoutScan from edge control instead.
-func (p *Protocol) StartWatchdog(interval sim.Time) {
-	if p.cfg.TimeoutCycles == 0 {
-		return
-	}
-	var tick func()
-	tick = func() {
-		if node, ok := p.TimeoutScan(); ok {
-			p.NoteTimeout()
-			p.misSpeculate(node, "deadlock-timeout")
-		}
-		p.k.After(interval, tick)
-	}
-	p.k.After(interval, tick)
-}
-
 // after schedules fn on node's kernel but drops it if a recovery reset
 // happens first: a delayed action of a rolled-back transaction must not
 // leak into the restored execution.
@@ -406,14 +382,10 @@ func (p *Protocol) after(node coherence.NodeID, d sim.Time, fn func()) {
 }
 
 func (p *Protocol) misSpeculate(node coherence.NodeID, reason string) {
-	if p.OnMisSpeculationAt != nil {
-		p.OnMisSpeculationAt(node, reason)
-		return
-	}
 	if p.OnMisSpeculation == nil {
 		panic("directory: mis-speculation detected with no recovery wired: " + reason)
 	}
-	p.OnMisSpeculation(reason)
+	p.OnMisSpeculation(node, reason)
 }
 
 func (p *Protocol) send(m coherence.Msg, to coherence.NodeID) {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"specsimp/internal/coherence"
+	"specsimp/internal/sim"
 )
 
 // Block addresses: with 4 nodes, home(a) = (a/64)%4.
@@ -222,7 +223,7 @@ func TestReaccessDuringWritebackParks(t *testing.T) {
 func TestWritebackRaceSpecDetected(t *testing.T) {
 	_, f, p := scripted(t, Spec)
 	var reasons []string
-	p.OnMisSpeculation = func(r string) {
+	p.OnMisSpeculation = func(_ coherence.NodeID, r string) {
 		reasons = append(reasons, r)
 		p.ResetTransients()
 		f.queue = nil
@@ -260,7 +261,7 @@ func TestWritebackRaceSpecDetected(t *testing.T) {
 // honored (forward first), the Spec variant needs no extra machinery.
 func TestWritebackRaceSpecInOrder(t *testing.T) {
 	_, f, p := scripted(t, Spec)
-	p.OnMisSpeculation = func(r string) { t.Fatalf("unexpected mis-speculation %q", r) }
+	p.OnMisSpeculation = func(_ coherence.NodeID, r string) { t.Fatalf("unexpected mis-speculation %q", r) }
 	doAccess(t, f, p, 1, blkA, coherence.Store)
 	doAccess(t, f, p, 1, blkB, coherence.Store)
 	n2done := false
@@ -358,26 +359,33 @@ func TestWritebackRaceFullInOrderDuplicateData(t *testing.T) {
 	}
 }
 
+// TestTimeoutWatchdogDetectsStuckTransaction: the deadlock watchdog's
+// scan reports a transaction whose GetM never reaches the directory
+// once it has been outstanding longer than TimeoutCycles — not before,
+// and not after a recovery reset clears it.
 func TestTimeoutWatchdogDetectsStuckTransaction(t *testing.T) {
-	k, f, p := scripted(t, Spec)
-	p2 := p
-	_ = f // withhold all deliveries: the GetM never reaches the directory
-	var reasons []string
+	k := sim.NewKernel()
 	cfg := tinyConfig(Spec)
 	cfg.TimeoutCycles = 10_000
-	p2 = New(k, newTestFabric(k, 4), cfg, nil)
-	p2.OnMisSpeculation = func(r string) {
-		reasons = append(reasons, r)
-		p2.ResetTransients()
+	// The test fabric holds every message until the test delivers it,
+	// and this test delivers nothing.
+	p := New(k, newTestFabric(k, 4), cfg, nil)
+	p.Access(1, blkA, coherence.Store, func() {})
+	k.Run(5_000)
+	if node, ok := p.TimeoutScan(); ok {
+		t.Fatalf("scan reported node %d before TimeoutCycles elapsed", node)
 	}
-	p2.StartWatchdog(1000)
-	p2.Access(1, blkA, coherence.Store, func() {})
 	k.Run(50_000)
-	if len(reasons) == 0 || reasons[0] != "deadlock-timeout" {
-		t.Fatalf("reasons=%v want deadlock-timeout", reasons)
+	if node, ok := p.TimeoutScan(); !ok || node != 1 {
+		t.Fatalf("scan = (%d, %v), want node 1 timed out", node, ok)
 	}
-	if p2.Stats().TimeoutsDetected.Value() == 0 {
+	p.NoteTimeout()
+	if p.Stats().TimeoutsDetected.Value() != 1 {
 		t.Fatal("timeout counter not bumped")
+	}
+	p.ResetTransients()
+	if node, ok := p.TimeoutScan(); ok {
+		t.Fatalf("scan still reports node %d after the reset", node)
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 // edgecontrolScope lists the shard-partitioned packages (by path
 // segment): the ones PR 5 re-homed onto per-shard kernels, where all
 // cross-shard mutation must flow through boundary queues or edge
-// control (sim.Shards ControlAt/After).
+// control (sim.Shards At/After).
 var edgecontrolScope = []string{
 	"sim", "network", "directory", "snoop", "processor", "system", "safetynet",
 }
@@ -30,7 +30,7 @@ var EdgeControl = &Analyzer{
 Shard-partitioned packages run one kernel per shard in parallel
 windows; package vars are shared across all of them. Keep state on
 per-shard components and route cross-shard mutation through boundary
-queues or edge ControlAt/After.`,
+queues or edge At/After.`,
 	Run: runEdgeControl,
 }
 

@@ -27,7 +27,7 @@
 //
 // Global control — checkpoint orchestration, recovery, watchdog scans,
 // anything that reads or writes more than one shard — runs only at
-// window edges via ControlAt/After, single-threaded, with every kernel
+// window edges via At/After, single-threaded, with every kernel
 // quiesced at the same instant. The group is therefore deterministic by
 // construction: shard-local execution is sequential, cross-shard inputs
 // arrive at deterministic points in deterministic order, and control
@@ -74,7 +74,7 @@ type ctlAction struct {
 // Threading contract: during a window, shard i's kernel (and any model
 // state owned by shard i) is touched only by the goroutine running
 // shard i; Post may be called only by the source shard's goroutine (or
-// single-threaded outside Run). ControlAt/After and the hooks run
+// single-threaded outside Run). At/After and the hooks run
 // single-threaded at window edges with all shards quiesced.
 type Shards struct {
 	window Time
@@ -250,17 +250,17 @@ func (g *Shards) Post(src, dst int, when Time, h Handler, a0, a1 uint64, p any) 
 // write only their own shard's.
 func (g *Shards) PreWindow(fn func(shard int)) { g.preWindow = append(g.preWindow, fn) }
 
-// ControlAt schedules fn to run single-threaded at the first window
-// edge at or after t. Call only from control context (hooks, other
-// control actions) or while no Run is in progress.
-func (g *Shards) ControlAt(t Time, fn func()) {
+// At schedules fn to run single-threaded at the first window edge at or
+// after t. Call only from control context (hooks, other control
+// actions) or while no Run is in progress.
+func (g *Shards) At(t Time, fn func()) {
 	g.ctlPush(ctlAction{at: t, seq: g.ctlSeq, fn: fn})
 	g.ctlSeq++
 }
 
 // After implements Scheduler: fn runs at the first edge at or after
 // now+d.
-func (g *Shards) After(d Time, fn func()) { g.ControlAt(g.now+d, fn) }
+func (g *Shards) After(d Time, fn func()) { g.At(g.now+d, fn) }
 
 // edge performs the single-threaded window-edge work: hooks and due
 // control actions. Boundary-queue drains follow as a parallel phase

@@ -68,7 +68,7 @@ type Protocol struct {
 	log  UndoLogger
 
 	// OnMisSpeculation handles a detected mis-speculation (the §3.2
-	// corner case under Spec, or a watchdog timeout). Nil panics.
+	// corner case under Spec). Nil panics.
 	OnMisSpeculation func(reason string)
 
 	caches []*sCacheCtrl
@@ -215,27 +215,25 @@ func (p *Protocol) ResetTransients() {
 	}
 }
 
-// StartWatchdog arms the transaction-timeout detector (see directory
-// package for semantics).
-func (p *Protocol) StartWatchdog(interval sim.Time) {
+// TimeoutScan reports the first node (lowest id) whose outstanding
+// transaction has exceeded cfg.TimeoutCycles, if any (never, when
+// TimeoutCycles is zero): the scan the system's deadlock watchdog runs.
+func (p *Protocol) TimeoutScan() (coherence.NodeID, bool) {
 	if p.cfg.TimeoutCycles == 0 {
-		return
+		return 0, false
 	}
-	var tick func()
-	tick = func() {
-		now := p.k.Now()
-		for _, c := range p.caches {
-			if (c.req != nil && now-c.req.start > p.cfg.TimeoutCycles) ||
-				(c.wb != nil && now-c.wb.start > p.cfg.TimeoutCycles) {
-				p.st.TimeoutsDetected.Inc()
-				p.misSpeculate("deadlock-timeout")
-				break
-			}
+	now := p.k.Now()
+	for _, c := range p.caches {
+		if (c.req != nil && now-c.req.start > p.cfg.TimeoutCycles) ||
+			(c.wb != nil && now-c.wb.start > p.cfg.TimeoutCycles) {
+			return c.node, true
 		}
-		p.k.After(interval, tick)
 	}
-	p.k.After(interval, tick)
+	return 0, false
 }
+
+// NoteTimeout counts a watchdog detection.
+func (p *Protocol) NoteTimeout() { p.st.TimeoutsDetected.Inc() }
 
 func (p *Protocol) misSpeculate(reason string) {
 	if p.OnMisSpeculation == nil {

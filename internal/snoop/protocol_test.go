@@ -343,6 +343,9 @@ func TestSnoopStressProperty(t *testing.T) {
 	}
 }
 
+// TestSnoopTimeoutWatchdog: the deadlock watchdog's scan reports a load
+// whose data never arrives once it has been outstanding longer than
+// TimeoutCycles — not before, and not after a recovery reset clears it.
 func TestSnoopTimeoutWatchdog(t *testing.T) {
 	k := sim.NewKernel()
 	// A data fabric that drops everything: loads never complete.
@@ -351,16 +354,22 @@ func TestSnoopTimeoutWatchdog(t *testing.T) {
 	cfg := DefaultConfig(4, Spec)
 	cfg.TimeoutCycles = 5000
 	p := New(k, bus, data, cfg, nil)
-	var reasons []string
-	p.OnMisSpeculation = func(r string) {
-		reasons = append(reasons, r)
-		p.ResetTransients()
-	}
-	p.StartWatchdog(500)
 	p.Access(1, blkA, coherence.Load, func() {})
+	k.Run(1_000)
+	if node, ok := p.TimeoutScan(); ok {
+		t.Fatalf("scan reported node %d before TimeoutCycles elapsed", node)
+	}
 	k.Run(20_000)
-	if len(reasons) == 0 || reasons[0] != "deadlock-timeout" {
-		t.Fatalf("reasons=%v", reasons)
+	if node, ok := p.TimeoutScan(); !ok || node != 1 {
+		t.Fatalf("scan = (%d, %v), want node 1 timed out", node, ok)
+	}
+	p.NoteTimeout()
+	if p.Stats().TimeoutsDetected.Value() != 1 {
+		t.Fatal("timeout counter not bumped")
+	}
+	p.ResetTransients()
+	if node, ok := p.TimeoutScan(); ok {
+		t.Fatalf("scan still reports node %d after the reset", node)
 	}
 }
 

@@ -25,15 +25,6 @@ import (
 	"specsimp/internal/runner"
 )
 
-// ParseShards parses the -shards flag's two forms: "N" requests N
-// tiles with the grid shape auto-factored per design point, "RxC"
-// (e.g. "4x2") pins the tile grid to R rows by C columns and requests
-// R*C tiles. Shared by cmd/sweep, cmd/specsim, and campaign specs
-// (the parser itself lives in internal/campaign).
-func ParseShards(s string) (shards, rows, cols int, err error) {
-	return campaign.ParseShards(s)
-}
-
 // ExpUsage is the -exp flag's help text, generated from the experiment
 // registry so the usage string can never drift from the registered set.
 func ExpUsage() string {
@@ -85,7 +76,7 @@ func Run(args []string, w io.Writer) error {
 	if *quick {
 		p = specsimp.QuickParams()
 	}
-	n, rows, cols, err := ParseShards(*shards)
+	n, rows, cols, err := campaign.ParseShards(*shards)
 	if err != nil {
 		return err
 	}

@@ -108,8 +108,10 @@ type Config struct {
 	Recorder *workload.TraceRecorder
 
 	// CheckpointInterval is SafetyNet's cadence: cycles for the
-	// directory system (Table 2: 100,000), ordered requests for the
-	// snooping system (Table 2: 3,000) via SnoopCheckpointRequests.
+	// directory system (Table 2: 100,000; must be positive), ordered
+	// requests for the snooping system (Table 2: 3,000) via
+	// SnoopCheckpointRequests. The watchdog scans every quarter
+	// interval (at least every cycle).
 	CheckpointInterval      sim.Time
 	SnoopCheckpointRequests uint64
 
@@ -224,6 +226,17 @@ func DefaultConfigSized(kind Kind, wl workload.Profile, w, h int) Config {
 	return cfg
 }
 
+// control is the scheduling surface of all global control. *sim.Kernel
+// (the classic engine) and *sim.Shards (the tile engine's window-edge
+// control, where At and After round up to the next edge) both satisfy
+// it. Events due in the same cycle fire in the order they were
+// scheduled on either.
+type control interface {
+	Now() sim.Time
+	At(t sim.Time, fn func())
+	After(d sim.Time, fn func())
+}
+
 // System is a built machine bound to a kernel.
 type System struct {
 	Cfg   Config
@@ -244,12 +257,19 @@ type System struct {
 	// from window-edge control context with every shard quiesced.
 	OnCheckpoint func()
 
-	// sh is the intra-run sharding runtime (nil on the classic serial
-	// path). See shard.go.
+	// ctl schedules all global control — checkpoint attempts and their
+	// drain and stall polls, the watchdog, fault injection, policy
+	// timers (see control). repoll is the drain and log-stall re-poll
+	// delay: 20 cycles on the classic engine, the next window edge (1)
+	// on the tile engine.
+	ctl    control
+	repoll sim.Time
+
+	// sh is the tile engine's runtime (nil on the classic engine). See
+	// shard.go.
 	sh *shardRuntime
 
 	checkpointing   bool
-	checkpointGen   uint64
 	startedAt       sim.Time
 	checkpointStall stats.Counter
 
@@ -343,6 +363,9 @@ func ValidateConfig(cfg Config) error {
 		return err
 	}
 	if cfg.Kind.IsDirectory() {
+		if cfg.CheckpointInterval == 0 {
+			return fmt.Errorf("system: CheckpointInterval must be positive for %s (directory kinds checkpoint every CheckpointInterval cycles; 0 would re-checkpoint at the same cycle forever)", cfg.Kind)
+		}
 		if cfg.TimeoutCycles > 0 && cfg.TimeoutCycles < cfg.CheckpointInterval {
 			return fmt.Errorf("system: TimeoutCycles %d is shorter than CheckpointInterval %d — the watchdog would declare deadlock inside one normal checkpoint epoch; use a multiple of the interval (DefaultConfig derives 3×) or 0 to disarm", cfg.TimeoutCycles, cfg.CheckpointInterval)
 		}
@@ -498,36 +521,34 @@ func BuildChecked(cfg Config) (*System, error) {
 	if err := ValidateConfig(cfg); err != nil {
 		return nil, err
 	}
+	s := &System{Cfg: cfg, repoll: 20}
+	var net *network.Network
+	var err error
 	if cfg.Shards >= 1 && cfg.Kind.IsDirectory() {
-		// Conservative-window parallel intra-run path (shard.go). One
-		// shard still uses the windowed engine — that is what makes
-		// results bit-identical across every -shards value.
-		return buildSharded(cfg)
+		// Conservative-window parallel intra-run engine (shard.go). One
+		// tile still uses the windowed engine — that is what makes
+		// results bit-identical across every -shards value. The machine
+		// is the classic one with its components re-homed onto tiles.
+		s.sh = newShardRuntime(cfg)
+		s.K, s.ctl, s.repoll = s.sh.grp.Kernel(0), s.sh.grp, 1
+		net, err = network.NewOnShards(s.sh.grp, cfg.Net, s.sh.shardOf)
+	} else {
+		s.K = sim.NewKernel()
+		s.ctl = s.K
+		net, err = network.NewChecked(s.K, cfg.Net)
 	}
-	k := sim.NewKernel()
-	net, err := network.NewChecked(k, cfg.Net)
 	if err != nil {
 		return nil, err
 	}
+	k := s.K
 	if cfg.ReorderInjectProb > 0 {
-		rng := sim.NewRNG(cfg.Seed ^ 0xfa17)
-		delay := cfg.ReorderInjectDelay
-		if delay == 0 {
-			delay = 2_000
-		}
-		net.PerturbFn = func(m *network.Message) sim.Time {
-			if m.VNet == coherence.VNetForward && rng.Bool(cfg.ReorderInjectProb) {
-				return delay
-			}
-			return 0
-		}
+		net.PerturbFn = reorderInjector(cfg, s.sh != nil)
 	}
 	sn := safetynet.DefaultConfig(cfg.Nodes, cfg.CheckpointInterval)
 	applyLogBytes(&sn, cfg)
 	mgr := safetynet.NewManager(k, sn)
 	coord := core.NewCoordinator(k, mgr)
-
-	s := &System{Cfg: cfg, K: k, Net: net, Mgr: mgr, Coord: coord}
+	s.Net, s.Mgr, s.Coord = net, mgr, coord
 
 	var access processor.AccessFunc
 	switch {
@@ -537,8 +558,13 @@ func BuildChecked(cfg Config) (*System, error) {
 			return nil, err
 		}
 		s.Dir = dir
-		s.Dir.OnMisSpeculation = func(reason string) { coord.TriggerMisSpeculation(reason) }
-		access = s.Dir.Access
+		if s.sh != nil {
+			dir.PartitionOnShards(s.sh.grp, s.sh.shardOf)
+			dir.OnMisSpeculation = s.deferMisSpeculation
+		} else {
+			dir.OnMisSpeculation = func(_ coherence.NodeID, reason string) { coord.TriggerMisSpeculation(reason) }
+		}
+		access = dir.Access
 	default:
 		v := snoop.Full
 		if cfg.Kind == SnoopSpec {
@@ -561,6 +587,9 @@ func BuildChecked(cfg Config) (*System, error) {
 		}
 	}
 	s.Pool = processor.NewPool(k, cfg.Nodes, access, gens)
+	if s.sh != nil {
+		s.Pool.PartitionOnShards(s.sh.grp, s.sh.shardOf)
+	}
 
 	// Recovery wiring (framework features 3 and 4).
 	coord.ResetFn = func() {
@@ -580,27 +609,68 @@ func BuildChecked(cfg Config) (*System, error) {
 		s.noteRecoveryOutage(at)
 		s.Pool.Resume(at)
 	}
+	// Policy timers toggle machine-wide state, so they run as control.
 	if cfg.Net.Routing == network.Adaptive {
-		coord.AddPolicy(&core.DisableAdaptiveRouting{K: k, Net: net, ReenableAfter: cfg.AdaptiveDisableWindow})
+		coord.AddPolicy(&core.DisableAdaptiveRouting{K: s.ctl, Net: net, ReenableAfter: cfg.AdaptiveDisableWindow})
 	}
 	ssLimit := cfg.SlowStartLimit
 	if ssLimit <= 0 {
 		ssLimit = 1
 	}
-	coord.AddPolicy(&core.SlowStart{K: k, Limiter: s.Pool, Limit: ssLimit, Normal: 0, Window: cfg.SlowStartWindow})
+	coord.AddPolicy(&core.SlowStart{K: s.ctl, Limiter: s.Pool, Limit: ssLimit, Normal: 0, Window: cfg.SlowStartWindow})
 	coord.PolicyExempt = func(reason string) bool { return reason == "injected" }
+
+	// Log backpressure: force an early checkpoint as soon as any node's
+	// log fills. The classic engine reacts to Manager.OnPressure. Tiles
+	// write the pressure flags mid-window (never reading them there), so
+	// the tile engine polls them at every edge instead, after committing
+	// the window's deferred detections; the edge also grants slow-start
+	// tokens to cores waiting on the outstanding limit.
+	if s.sh != nil {
+		s.sh.grp.PreControl = func(sim.Time) {
+			s.commitDeferredRecoveries()
+			s.forceCheckpoint()
+		}
+		s.sh.grp.PostControl = func(sim.Time) { s.Pool.GrantWaiting() }
+	} else {
+		mgr.OnPressure = func() { s.ctl.After(1, s.forceCheckpoint) }
+	}
 	return s, nil
 }
 
-// Start takes the initial checkpoint, starts the processors, the
-// checkpoint cadence, the watchdog, and (if configured) the recovery
-// injector. Call once.
-func (s *System) Start() {
-	if s.sh != nil {
-		s.startSharded()
-		return
+// reorderInjector builds the PerturbFn behind ReorderInjectProb: each
+// ForwardedRequest-class message is held at its source with the
+// configured probability. The classic engine draws from one shared
+// stream; the tile engine gives every source node its own stream, since
+// a shared stream's draw order would depend on cross-tile execution
+// order. Node 0's stream is the shared stream's seed.
+func reorderInjector(cfg Config, perNode bool) func(*network.Message) sim.Time {
+	streams := 1
+	if perNode {
+		streams = cfg.Nodes
 	}
-	s.startedAt = s.K.Now()
+	rngs := make([]*sim.RNG, streams)
+	for i := range rngs {
+		rngs[i] = sim.NewRNG(cfg.Seed ^ 0xfa17 ^ uint64(i)*0x9e3779b97f4a7c15)
+	}
+	delay := cfg.ReorderInjectDelay
+	if delay == 0 {
+		delay = 2_000
+	}
+	return func(m *network.Message) sim.Time {
+		if m.VNet == coherence.VNetForward && rngs[int(m.Src)%streams].Bool(cfg.ReorderInjectProb) {
+			return delay
+		}
+		return 0
+	}
+}
+
+// Start takes the initial checkpoint, starts the processors, the
+// checkpoint cadence, the watchdog, and (if configured) the fault
+// injectors — in that order, which is the order their same-cycle events
+// fire in. Call once.
+func (s *System) Start() {
+	s.startedAt = s.ctl.Now()
 	s.ckptInterval = s.Cfg.CheckpointInterval
 	s.Mgr.TakeCheckpoint(s.Pool.SnapshotAll())
 	if s.OnCheckpoint != nil {
@@ -610,9 +680,6 @@ func (s *System) Start() {
 
 	if s.Cfg.Kind.IsDirectory() {
 		s.scheduleCheckpoint(s.Cfg.CheckpointInterval)
-		if s.Cfg.TimeoutCycles > 0 {
-			s.Dir.StartWatchdog(s.Cfg.CheckpointInterval / 4)
-		}
 	} else {
 		every := s.Cfg.SnoopCheckpointRequests
 		if every == 0 {
@@ -623,34 +690,61 @@ func (s *System) Start() {
 				s.attemptCheckpoint()
 			}
 		}
-		if s.Cfg.TimeoutCycles > 0 {
-			s.Snoop.StartWatchdog(s.Cfg.CheckpointInterval / 4)
-		}
 	}
+	s.startWatchdog()
+	s.startFaults()
+}
 
-	// Log backpressure (classic path): force an early checkpoint as soon
-	// as any node's log fills. The sharded path polls PressureSignal at
-	// window edges instead — see startSharded.
-	s.Mgr.OnPressure = func() { s.K.After(1, s.forceCheckpoint) }
-	s.startFaults(s.K)
+// timeoutScanner is the watchdog's view of the active protocol.
+type timeoutScanner interface {
+	TimeoutScan() (coherence.NodeID, bool)
+	NoteTimeout()
+}
+
+// startWatchdog arms the §4 transaction-timeout deadlock detector: every
+// quarter checkpoint interval (at least one cycle) it scans the active
+// protocol's transactions and recovers if any has been outstanding
+// longer than TimeoutCycles. A no-op if TimeoutCycles is zero. The scan
+// reads every node's TBEs, which is why it runs as control.
+func (s *System) startWatchdog() {
+	if s.Cfg.TimeoutCycles == 0 {
+		return
+	}
+	var p timeoutScanner = s.Snoop
+	if s.Dir != nil {
+		p = s.Dir
+	}
+	period := s.Cfg.CheckpointInterval / 4
+	if period < 1 {
+		period = 1
+	}
+	var tick func()
+	tick = func() {
+		if _, ok := p.TimeoutScan(); ok {
+			p.NoteTimeout()
+			s.Coord.TriggerMisSpeculation("deadlock-timeout")
+		}
+		s.ctl.After(period, tick)
+	}
+	s.ctl.After(period, tick)
 }
 
 // attemptCheckpoint drains in-flight transactions and takes a SafetyNet
 // checkpoint (a consistent cut by construction — see safetynet package
-// comment), then schedules the next one. If the logs are still at
-// capacity after the checkpoint, the pool stays paused until validation
-// frees space (stallForLogSpace — the overflow backpressure fix).
+// comment), then schedules the next one. The drain is re-polled every
+// repoll cycles. If the logs are still at capacity after the checkpoint,
+// the pool stays paused until validation frees space (stallForLogSpace —
+// the overflow backpressure fix).
 func (s *System) attemptCheckpoint() {
 	if s.checkpointing {
 		return
 	}
 	s.checkpointing = true
-	s.checkpointGen++
-	began := s.K.Now()
+	began := s.ctl.Now()
 	var poll func()
 	poll = func() {
 		if s.Coord.InRecovery() {
-			s.K.At(s.Coord.ResumeAt()+1, poll)
+			s.ctl.At(s.Coord.ResumeAt()+1, poll)
 			return
 		}
 		s.Pool.Pause()
@@ -660,7 +754,7 @@ func (s *System) attemptCheckpoint() {
 			if s.OnCheckpoint != nil {
 				s.OnCheckpoint()
 			}
-			s.checkpointStall.Add(uint64(s.K.Now() - began))
+			s.checkpointStall.Add(uint64(s.ctl.Now() - began))
 			if s.Mgr.PressureSignal() {
 				s.stallForLogSpace()
 				return
@@ -668,7 +762,7 @@ func (s *System) attemptCheckpoint() {
 			s.finishCheckpoint()
 			return
 		}
-		s.K.After(20, poll)
+		s.ctl.After(s.repoll, poll)
 	}
 	poll()
 }
@@ -677,12 +771,8 @@ func (s *System) attemptCheckpoint() {
 // stall) and schedules the next periodic attempt through the cadence
 // controller.
 func (s *System) finishCheckpoint() {
-	now := s.K.Now()
-	if s.sh != nil {
-		now = s.sh.grp.Now()
-	}
 	lat := s.Mgr.Config().RegCkptLatency
-	s.Pool.Resume(now + lat)
+	s.Pool.Resume(s.ctl.Now() + lat)
 	s.checkpointing = false
 	if s.Cfg.Kind.IsDirectory() {
 		s.scheduleCheckpoint(s.nextCheckpointDelay())
@@ -697,49 +787,36 @@ func (s *System) finishCheckpoint() {
 func (s *System) scheduleCheckpoint(d sim.Time) {
 	s.ckptTimer++
 	gen := s.ckptTimer
-	fire := func() {
-		if gen != s.ckptTimer {
-			return
-		}
-		if s.sh != nil {
-			s.attemptCheckpointSharded()
-		} else {
+	s.ctl.After(d, func() {
+		if gen == s.ckptTimer {
 			s.attemptCheckpoint()
 		}
-	}
-	if s.sh != nil {
-		s.sh.grp.After(d, fire)
-	} else {
-		s.K.After(d, fire)
-	}
+	})
 }
 
 // forceCheckpoint starts an immediate checkpoint attempt in response to
 // log pressure: the new checkpoint opens an epoch whose validation will
 // free the over-capacity entries, and the attempt holds the pool paused
-// until it does. The classic path reaches here via Manager.OnPressure;
-// the sharded path from its window-edge PreControl scan.
+// until it does. The classic engine reaches here via Manager.OnPressure;
+// the tile engine from its window-edge PreControl poll.
 func (s *System) forceCheckpoint() {
 	if s.checkpointing || !s.Mgr.PressureSignal() {
 		return
 	}
 	s.ckptTimer++ // cancel the pending periodic attempt
-	if s.sh != nil {
-		s.attemptCheckpointSharded()
-	} else {
-		s.attemptCheckpoint()
-	}
+	s.attemptCheckpoint()
 }
 
 // stallForLogSpace holds the pool paused after a checkpoint whose logs
-// are still at capacity, committing as validation windows expire. If a
-// full validation window passes without relief — a recovery discarded
-// the forced checkpoint, or one epoch's working set alone exceeds
-// LogBytes — it restarts the attempt: the system then visibly thrashes
-// (checkpoint, stall, repeat) instead of deadlocking or, as before the
-// fix, logging past its budget for free.
+// are still at capacity, committing as validation windows expire (re-
+// polled every repoll cycles). If a full validation window passes
+// without relief — a recovery discarded the forced checkpoint, or one
+// epoch's working set alone exceeds LogBytes — it restarts the attempt:
+// the system then visibly thrashes (checkpoint, stall, repeat) instead
+// of deadlocking or, as before the fix, logging past its budget for
+// free.
 func (s *System) stallForLogSpace() {
-	began := s.K.Now()
+	began := s.ctl.Now()
 	s.logStalled = true
 	s.inLogStall = true
 	s.stallBegan = began
@@ -747,17 +824,17 @@ func (s *System) stallForLogSpace() {
 	var wait func()
 	wait = func() {
 		if s.Coord.InRecovery() {
-			s.K.At(s.Coord.ResumeAt()+1, wait)
+			s.ctl.At(s.Coord.ResumeAt()+1, wait)
 			return
 		}
 		s.Pool.Pause()
 		s.Mgr.CommitNow()
 		pressured := s.Mgr.PressureSignal()
-		if pressured && s.K.Now() < deadline {
-			s.K.After(20, wait)
+		if pressured && s.ctl.Now() < deadline {
+			s.ctl.After(s.repoll, wait)
 			return
 		}
-		s.logStallCycles += uint64(s.K.Now() - began)
+		s.logStallCycles += uint64(s.ctl.Now() - began)
 		s.inLogStall = false
 		if pressured {
 			s.checkpointing = false
@@ -868,11 +945,12 @@ func (s *System) inFlight() int {
 // Run executes the system for the given number of cycles (after Start)
 // and returns the results.
 func (s *System) Run(cycles sim.Time) Results {
+	until := s.ctl.Now() + cycles
 	if s.sh != nil {
-		s.sh.grp.Run(s.sh.grp.Now() + cycles)
-		return s.Results()
+		s.sh.grp.Run(until)
+	} else {
+		s.K.Run(until)
 	}
-	s.K.Run(s.K.Now() + cycles)
 	return s.Results()
 }
 

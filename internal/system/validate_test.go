@@ -3,6 +3,7 @@ package system
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"specsimp/internal/directory"
 	"specsimp/internal/snoop"
@@ -186,4 +187,53 @@ func TestBuildPanicsStayForLegacyCallers(t *testing.T) {
 	cfg := DefaultConfigSized(DirectorySpec, workload.Uniform, 16, 16)
 	cfg.Sharers = directory.FullBitmap
 	Build(cfg)
+}
+
+// TestZeroCheckpointIntervalRejected: a directory machine with no
+// checkpoint interval would re-checkpoint at cycle 0 forever, so it is
+// a descriptive config error (a sweep reports it for the design point)
+// instead of a hang. Snooping kinds checkpoint on ordered requests and
+// still accept it.
+func TestZeroCheckpointIntervalRejected(t *testing.T) {
+	for _, kind := range []Kind{DirectoryFull, DirectorySpec} {
+		for _, shards := range []int{0, 1} {
+			cfg := DefaultConfig(kind, workload.Uniform)
+			cfg.CheckpointInterval = 0
+			cfg.Shards = shards
+			if _, err := RunOneChecked(cfg, 1_000); err == nil || !strings.Contains(err.Error(), "CheckpointInterval must be positive") {
+				t.Errorf("%s shards=%d: zero interval gave %v, want CheckpointInterval error", kind, shards, err)
+			}
+		}
+	}
+	snoop := DefaultConfig(SnoopSpec, workload.Uniform)
+	snoop.CheckpointInterval = 0
+	if err := ValidateConfig(snoop); err != nil {
+		t.Errorf("snooping kind with zero cycle interval rejected: %v", err)
+	}
+}
+
+// TestTinyCheckpointIntervalCompletes: a checkpoint interval below four
+// cycles used to make the watchdog period (a quarter interval) zero, so
+// its tick rescheduled itself in the same cycle forever. The period is
+// now at least one cycle and the run finishes, on both engines and on
+// the snooping watchdog too.
+func TestTinyCheckpointIntervalCompletes(t *testing.T) {
+	hang := time.AfterFunc(2*time.Minute, func() { panic("tiny-interval run hung") })
+	defer hang.Stop()
+	for _, tc := range []struct {
+		kind   Kind
+		shards int
+	}{{DirectorySpec, 0}, {DirectorySpec, 1}, {SnoopSpec, 0}} {
+		cfg := DefaultConfig(tc.kind, workload.OLTP)
+		cfg.CheckpointInterval = 2
+		cfg.TimeoutCycles = 3 * cfg.CheckpointInterval
+		cfg.Shards = tc.shards
+		r, err := RunOneChecked(cfg, 20_000)
+		if err != nil {
+			t.Fatalf("%s shards=%d: %v", tc.kind, tc.shards, err)
+		}
+		if r.Cycles != 20_000 || r.Timeouts == 0 {
+			t.Errorf("%s shards=%d: cycles=%d timeouts=%d, want a full run with the watchdog firing", tc.kind, tc.shards, r.Cycles, r.Timeouts)
+		}
+	}
 }
