@@ -17,6 +17,26 @@ import (
 	"specsimp/internal/workload"
 )
 
+// runExperiment runs the named registered experiment the way sweep
+// does, RunExperiment on its ByName entry, and returns the typed
+// aggregate. List-valued knobs travel as p.Axes overrides.
+func runExperiment[T any](tb testing.TB, name string, p experiments.Params) T {
+	tb.Helper()
+	e, ok := experiments.ByName(name)
+	if !ok {
+		tb.Fatalf("no registered experiment %q", name)
+	}
+	v, err := experiments.RunExperiment(e, p)
+	if err != nil {
+		tb.Fatalf("%s: %v", name, err)
+	}
+	out, ok := v.(T)
+	if !ok {
+		tb.Fatalf("%s aggregates to %T, not %T", name, v, out)
+	}
+	return out
+}
+
 func benchParams() experiments.Params {
 	p := experiments.Quick()
 	p.Runs = 1
@@ -126,8 +146,7 @@ func BenchmarkFig4(b *testing.B) {
 	p := benchParams()
 	p.Workloads = []workload.Profile{workload.OLTP}
 	for i := 0; i < b.N; i++ {
-		res := Fig4(p)
-		r := res[0]
+		r := runExperiment[[]experiments.Fig4Result](b, "fig4", p)[0]
 		b.ReportMetric(r.PerfByRate[1].Mean, "perf@1/s")
 		b.ReportMetric(r.PerfByRate[10].Mean, "perf@10/s")
 		b.ReportMetric(r.PerfByRate[100].Mean, "perf@100/s")
@@ -145,7 +164,7 @@ func BenchmarkFig5(b *testing.B) {
 			pw := p
 			pw.Workloads = []workload.Profile{wl}
 			for i := 0; i < b.N; i++ {
-				r := Fig5(pw)[0]
+				r := runExperiment[[]experiments.Fig5Result](b, "fig5", pw)[0]
 				b.ReportMetric(r.AdaptivePerf.Mean, "adaptive-vs-static")
 				b.ReportMetric(r.Recoveries, "recoveries")
 				b.ReportMetric(100*r.MeanLinkUtil, "static-link-util-%")
@@ -158,8 +177,9 @@ func BenchmarkFig5(b *testing.B) {
 // paper's 400 MB/s – 3.2 GB/s link bandwidth range.
 func BenchmarkReorderRates(b *testing.B) {
 	p := benchParams()
+	p.Workload = workload.OLTP
 	for i := 0; i < b.N; i++ {
-		res := ReorderRates(p, workload.OLTP)
+		res := runExperiment[[]experiments.ReorderResult](b, "reorder", p)
 		lo, hi := res[0], res[len(res)-1]
 		b.ReportMetric(lo.PerVNet[1], "fwd-reorder@400MB/s")
 		b.ReportMetric(hi.PerVNet[1], "fwd-reorder@3.2GB/s")
@@ -173,7 +193,7 @@ func BenchmarkReorderRates(b *testing.B) {
 func BenchmarkSnoopRecoveries(b *testing.B) {
 	p := benchParams()
 	for i := 0; i < b.N; i++ {
-		res := SnoopRecoveries(p)
+		res := runExperiment[[]experiments.SnoopResult](b, "snoop", p)
 		var detected, perf float64
 		for _, r := range res {
 			detected += r.CornerDetected
@@ -189,8 +209,9 @@ func BenchmarkSnoopRecoveries(b *testing.B) {
 // deadlock cliff at tiny buffers.
 func BenchmarkBufferSweep(b *testing.B) {
 	p := benchParams()
+	p.Workload = workload.OLTP
 	for i := 0; i < b.N; i++ {
-		res := BufferSweep(p, workload.OLTP)
+		res := runExperiment[[]experiments.BufferResult](b, "buffers", p)
 		for _, r := range res {
 			if r.BufferSize == 8 {
 				b.ReportMetric(r.Perf.Mean, "perf@8")
@@ -207,8 +228,10 @@ func BenchmarkBufferSweep(b *testing.B) {
 // outstanding-transaction limits on the deadlock-prone network.
 func BenchmarkSlowStartAblation(b *testing.B) {
 	p := benchParams()
+	p.Workload = workload.Hotspot
+	p.Axes = map[string][]string{"limit": {"1", "8"}}
 	for i := 0; i < b.N; i++ {
-		res := experiments.SlowStartAblation(p, workload.Hotspot, []int{1, 8})
+		res := runExperiment[[]experiments.SlowStartResult](b, "slowstart", p)
 		b.ReportMetric(res[0].Perf.Mean, "perf@limit1")
 		b.ReportMetric(res[1].Perf.Mean, "perf@limit8")
 	}
@@ -218,8 +241,9 @@ func BenchmarkSlowStartAblation(b *testing.B) {
 // vs deflection routing at the deadlock-prone operating point.
 func BenchmarkDeflectionAblation(b *testing.B) {
 	p := benchParams()
+	p.Workload = workload.OLTP
 	for i := 0; i < b.N; i++ {
-		res := experiments.DeflectionAblation(p, workload.OLTP)
+		res := runExperiment[[]experiments.DeflectionResult](b, "deflection", p)
 		b.ReportMetric(res[0].Recoveries, "recoveries-simplified")
 		b.ReportMetric(res[1].Recoveries, "recoveries-deflection")
 		b.ReportMetric(res[1].Deflections, "deflections")
@@ -230,8 +254,10 @@ func BenchmarkDeflectionAblation(b *testing.B) {
 // vs log occupancy and checkpoint stall.
 func BenchmarkCheckpointAblation(b *testing.B) {
 	p := benchParams()
+	p.Workload = workload.Uniform
+	p.Axes = map[string][]string{"interval": {"2000", "20000"}}
 	for i := 0; i < b.N; i++ {
-		res := experiments.CheckpointAblation(p, workload.Uniform, []sim.Time{2_000, 20_000})
+		res := runExperiment[[]experiments.CheckpointResult](b, "checkpoint", p)
 		b.ReportMetric(res[0].LogHighWater, "logbytes@2k")
 		b.ReportMetric(res[1].LogHighWater, "logbytes@20k")
 	}

@@ -16,6 +16,9 @@ import (
 
 	"specsimp"
 	"specsimp/internal/campaign"
+	"specsimp/internal/experiments"
+	"specsimp/internal/runner"
+	"specsimp/internal/stats"
 )
 
 func main() {
@@ -97,13 +100,27 @@ func main() {
 		report(r)
 		return
 	}
-	pr := specsimp.RunPerturbed(cfg, *runs, specsimp.Time(*cycles))
+	// The §5.2 repeats are a one-point grid on the sweep engine: the
+	// same seeds (base + i·7919) and worker pool as every experiment.
+	pts := make([]runner.Point, *runs)
+	for i := range pts {
+		pts[i] = experiments.SysPoint("specsim", cfg, specsimp.Time(*cycles), nil, i)
+	}
+	res := (&runner.Runner{}).Run(pts)
+	var perf, recoveries stats.Sample
+	for _, r := range res {
+		if r.Err != nil {
+			log.Fatal(r.Err)
+		}
+		perf.Observe(r.Metrics.Perf)
+		recoveries.Observe(r.Metrics.Recoveries)
+	}
 	fmt.Printf("%d perturbed runs of %s / %s:\n", *runs, kind, wl.Name)
-	fmt.Printf("  performance: %s\n", pr.Perf.String())
-	fmt.Printf("  recoveries:  %s\n", pr.Recoveries.String())
-	for i, r := range pr.Runs {
-		fmt.Printf("  run %d: perf=%.4f recoveries=%d reorder=%.5f\n",
-			i, r.Perf, r.Recoveries, r.TotalReorderRate)
+	fmt.Printf("  performance: %s\n", perf.String())
+	fmt.Printf("  recoveries:  %s\n", recoveries.String())
+	for i, r := range res {
+		fmt.Printf("  run %d: perf=%.4f recoveries=%.0f reorder=%.5f\n",
+			i, r.Metrics.Perf, r.Metrics.Recoveries, r.Metrics.ReorderTotal)
 	}
 }
 

@@ -144,10 +144,7 @@ func flagValue(command, name string) string {
 }
 
 // loadResults reads <exp>.csv back into the per-run results the
-// aggregation consumes, verifying each row against the plan's grid —
-// same point, same order. A mismatch means the artifacts were produced
-// by different code or flags than the plan reconstructs, and aggregated
-// numbers would silently lie; it is an error, never a best effort.
+// aggregation consumes (see parseResults).
 func loadResults(dir string, pe PlanExperiment) ([]runner.Result, []string, error) {
 	name := pe.Exp.Name()
 	path := filepath.Join(dir, name+".csv")
@@ -155,25 +152,31 @@ func loadResults(dir string, pe PlanExperiment) ([]runner.Result, []string, erro
 	if err != nil {
 		return nil, nil, fmt.Errorf("analyze: experiment %s: %v (did the campaign complete?)", name, err)
 	}
+	return parseResults(path, data, pe)
+}
+
+// parseResults decodes one experiment's CSV artifact, verifying its
+// header against the layout the sink writes for the plan's points
+// (runner.CSVHeader) and each row against the plan's grid — same
+// point, same order. A mismatch means the artifacts were produced by
+// different code or flags than the plan reconstructs, or were edited,
+// and aggregated numbers would silently lie; it is an error, never a
+// best effort. It also returns the param columns, in CSV order.
+func parseResults(path string, data []byte, pe PlanExperiment) ([]runner.Result, []string, error) {
 	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
-	if len(lines) == 0 || lines[0] == "" {
+	if lines[0] == "" {
 		return nil, nil, fmt.Errorf("analyze: %s is empty", path)
 	}
-	header := strings.Split(lines[0], ",")
-	metricSet := map[string]bool{}
-	for _, k := range runner.MetricKeys() {
-		metricSet[k] = true
+	var first map[string]string
+	if len(pe.Points) > 0 {
+		first = pe.Points[0].Params
 	}
-	var paramCols []string
-	for _, c := range header {
-		switch c {
-		case "experiment", "workload", "repeat", "seed", "error":
-		default:
-			if !metricSet[c] {
-				paramCols = append(paramCols, c)
-			}
-		}
+	header := runner.CSVHeader(first)
+	if diff := headerMismatch(strings.Split(lines[0], ","), header); diff != "" {
+		return nil, nil, fmt.Errorf("analyze: %s header does not match the layout the sweep writes for this plan: %s", path, diff)
 	}
+	const fixed = 4 // experiment, workload, repeat, seed
+	paramCols := header[fixed : fixed+len(first)]
 	rows := lines[1:]
 	if len(rows) != len(pe.Points) {
 		return nil, nil, fmt.Errorf("analyze: %s has %d result rows but the plan's grid has %d points — the artifacts were produced by a different spec or code revision", path, len(rows), len(pe.Points))
@@ -184,28 +187,26 @@ func loadResults(dir string, pe PlanExperiment) ([]runner.Result, []string, erro
 		if len(fields) != len(header) {
 			return nil, nil, fmt.Errorf("analyze: %s row %d has %d fields, want %d", path, i+1, len(fields), len(header))
 		}
-		pt := runner.Point{Params: map[string]string{}}
+		pt := runner.Point{
+			Experiment: fields[0],
+			Workload:   fields[1],
+			Params:     make(map[string]string, len(paramCols)),
+		}
 		var m runner.Metrics
-		var errText string
-		for j, col := range header {
-			v := fields[j]
+		var err error
+		for j := 2; j < len(header)-1; j++ {
+			col, v := header[j], fields[j]
 			switch {
-			case col == "experiment":
-				pt.Experiment = v
-			case col == "workload":
-				pt.Workload = v
-			case col == "repeat":
+			case j == 2:
 				pt.Repeat, err = strconv.Atoi(v)
-			case col == "seed":
+			case j == 3:
 				pt.Seed, err = strconv.ParseUint(v, 10, 64)
-			case col == "error":
-				errText = v
-			case metricSet[col]:
+			case j < fixed+len(paramCols):
+				pt.Params[col] = v
+			default:
 				var f float64
 				f, err = strconv.ParseFloat(v, 64)
 				m.Set(col, f)
-			default:
-				pt.Params[col] = v
 			}
 			if err != nil {
 				return nil, nil, fmt.Errorf("analyze: %s row %d, column %s: %v", path, i+1, col, err)
@@ -215,11 +216,51 @@ func loadResults(dir string, pe PlanExperiment) ([]runner.Result, []string, erro
 			return nil, nil, fmt.Errorf("analyze: %s row %d does not match the plan's grid: %s — the artifacts were produced by a different spec or code revision", path, i+1, diff)
 		}
 		res[i] = runner.Result{Point: pe.Points[i], Metrics: m}
-		if errText != "" {
+		if errText := fields[len(fields)-1]; errText != "" {
 			res[i].Err = errors.New(errText)
 		}
 	}
 	return res, paramCols, nil
+}
+
+// headerMismatch names how a CSV header departs from the expected
+// one: the missing and extra columns, or else the first column out of
+// place; "" if they agree.
+func headerMismatch(got, want []string) string {
+	var problems []string
+	if cols := absent(want, got); len(cols) > 0 {
+		problems = append(problems, "missing column(s) "+strings.Join(cols, ", "))
+	}
+	if cols := absent(got, want); len(cols) > 0 {
+		problems = append(problems, "unexpected column(s) "+strings.Join(cols, ", "))
+	}
+	if len(problems) > 0 {
+		return strings.Join(problems, "; ")
+	}
+	for i := range got {
+		if i >= len(want) {
+			return fmt.Sprintf("column %d %q repeats an earlier column", i+1, got[i])
+		}
+		if got[i] != want[i] {
+			return fmt.Sprintf("column %d is %q, want %q", i+1, got[i], want[i])
+		}
+	}
+	return ""
+}
+
+// absent returns, quoted, the columns of cols that other lacks.
+func absent(cols, other []string) []string {
+	have := make(map[string]bool, len(other))
+	for _, c := range other {
+		have[c] = true
+	}
+	var out []string
+	for _, c := range cols {
+		if !have[c] {
+			out = append(out, strconv.Quote(c))
+		}
+	}
+	return out
 }
 
 // pointMismatch describes the first difference between a CSV row's

@@ -2,6 +2,7 @@ package campaign_test
 
 import (
 	"bytes"
+	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"specsimp/internal/campaign"
+	"specsimp/internal/runner"
 )
 
 // smokeSpec is the test campaign: two experiments, three design
@@ -181,6 +183,92 @@ func TestAnalyzeRegeneratesSummaries(t *testing.T) {
 	}
 	if _, err := campaign.Analyze(rep.Dir); err == nil || !strings.Contains(err.Error(), "does not match the plan's grid") {
 		t.Fatalf("tampered CSV not detected: %v", err)
+	}
+}
+
+// stubRunDir writes a completed-looking run directory for plan
+// without simulating: the spec echo plus the CSV rows the sink writes
+// when every point returns fixed metrics.
+func stubRunDir(t *testing.T, plan campaign.Plan) string {
+	t.Helper()
+	dir := t.TempDir()
+	sink, err := runner.NewSink(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pe := range plan.Experiments {
+		pts := append([]runner.Point(nil), pe.Points...)
+		for i := range pts {
+			pts[i].Run = func(seed uint64) (runner.Metrics, error) {
+				return runner.Metrics{Perf: 0.5, Cycles: 1000, Recoveries: 1}, nil
+			}
+		}
+		(&runner.Runner{Workers: 1, Sink: sink}).Run(pts)
+	}
+	if err := sink.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "campaign.json"), plan.Spec.Canonical(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// TestAnalyzeRejectsMismatchedHeader: a CSV whose header lacks a metric
+// column, carries an unknown one, or has two columns swapped is an
+// error naming the column, never a table aggregated from zeros.
+func TestAnalyzeRejectsMismatchedHeader(t *testing.T) {
+	dir := stubRunDir(t, buildPlan(t, smokeSpec))
+	if _, err := campaign.Analyze(dir); err != nil {
+		t.Fatalf("untouched stub run: %v", err)
+	}
+	path := filepath.Join(dir, "slowstart.csv")
+	orig, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	header := strings.Split(strings.SplitN(string(orig), "\n", 2)[0], ",")
+	perf := -1
+	for i, c := range header {
+		if c == "perf" {
+			perf = i
+		}
+	}
+	if perf < 0 || header[perf+1] != "recoveries" {
+		t.Fatalf("unexpected stub header %v", header)
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(cells []string, isHeader bool) []string
+		want string
+	}{
+		{"missing", func(c []string, _ bool) []string {
+			return append(c[:perf:perf], c[perf+1:]...)
+		}, `missing column(s) "perf"`},
+		{"extra", func(c []string, isHeader bool) []string {
+			if isHeader {
+				return append(c, "bogus")
+			}
+			return append(c, "1")
+		}, `unexpected column(s) "bogus"`},
+		{"misplaced", func(c []string, _ bool) []string {
+			c[perf], c[perf+1] = c[perf+1], c[perf]
+			return c
+		}, fmt.Sprintf(`column %d is "recoveries", want "perf"`, perf+1)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			lines := strings.Split(strings.TrimSuffix(string(orig), "\n"), "\n")
+			for i, line := range lines {
+				lines[i] = strings.Join(tc.edit(strings.Split(line, ","), i == 0), ",")
+			}
+			if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err := campaign.Analyze(dir)
+			if err == nil || !strings.Contains(err.Error(), "slowstart.csv") || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("edited header: got error %v, want one naming slowstart.csv and %s", err, tc.want)
+			}
+		})
 	}
 }
 

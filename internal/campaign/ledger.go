@@ -125,10 +125,12 @@ func OpenLedger(dir string) (*Ledger, error) {
 			if _, err := e.metrics(); err != nil {
 				return nil, err
 			}
+			// The first entry under a digest wins, as in Store, so the
+			// rewritten file holds exactly the entries kept in memory.
 			if _, dup := entries[e.Digest]; !dup {
 				valid = append(valid, e)
+				entries[e.Digest] = e
 			}
-			entries[e.Digest] = e
 		}
 	} else if !os.IsNotExist(err) {
 		return nil, fmt.Errorf("campaign: read ledger: %v", err)

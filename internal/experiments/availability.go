@@ -168,12 +168,6 @@ func (availabilityExp) Aggregate(p Params, res []runner.Result) any {
 
 func (availabilityExp) Table(v any) string { return AvailabilityTable(v.([]AvailabilityResult)) }
 
-// Availability runs the registered availability experiment (historical
-// signature; OLTP by default).
-func Availability(p Params) []AvailabilityResult {
-	return mustRun(availabilityExp{}, p).([]AvailabilityResult)
-}
-
 // ratio is a/b, or 0 when b is 0 (no observations).
 func ratio(a, b float64) float64 {
 	if b == 0 {

@@ -40,8 +40,8 @@ func TestUnsupportedDesignPointCSVGolden(t *testing.T) {
 	bad.TimeoutCycles = 0
 
 	pts := []runner.Point{
-		sysPoint("scale64", good, 20_000, map[string]string{"geom": "2x2", "kind": "snoop-spec", "sharers": "n/a"}, 0),
-		sysPoint("scale64", bad, 20_000, map[string]string{"geom": "32x32", "kind": "snoop-spec", "sharers": "n/a"}, 0),
+		SysPoint("scale64", good, 20_000, map[string]string{"geom": "2x2", "kind": "snoop-spec", "sharers": "n/a"}, 0),
+		SysPoint("scale64", bad, 20_000, map[string]string{"geom": "32x32", "kind": "snoop-spec", "sharers": "n/a"}, 0),
 	}
 	ex := &runner.Runner{Workers: 1, Sink: sink}
 	res := ex.Run(pts)

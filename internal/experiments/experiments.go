@@ -19,7 +19,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -83,7 +82,8 @@ type Params struct {
 
 	// Normalized axis state (see Normalize in registry.go): the typed,
 	// validated value set per declared axis. normalized makes Normalize
-	// idempotent, so the legacy wrappers and RunExperiment compose.
+	// idempotent, so a campaign plan's Params pass through RunExperiment
+	// unchanged.
 	axisValues   map[string][]string
 	axisProfiles map[string][]workload.Profile
 	normalized   bool
@@ -170,10 +170,11 @@ func cell(s *stats.Sample, base float64) Cell {
 
 // ---- grid construction ----
 
-// sysPoint declares one design-point run: a full system simulation of
+// SysPoint declares one design-point run: a full system simulation of
 // cfg for cycles, seeded deterministically from cfg.Seed and the repeat
-// index (the §5.2 perturbation scheme).
-func sysPoint(exp string, cfg system.Config, cycles sim.Time, params map[string]string, repeat int) runner.Point {
+// index (the §5.2 perturbation scheme). Every experiment grid and
+// specsim -runs build their points with it.
+func SysPoint(exp string, cfg system.Config, cycles sim.Time, params map[string]string, repeat int) runner.Point {
 	return runner.Point{
 		Experiment: exp,
 		Workload:   cfg.Workload.Name,
@@ -194,10 +195,10 @@ func sysPoint(exp string, cfg system.Config, cycles sim.Time, params map[string]
 	}
 }
 
-// repeats appends one sysPoint per perturbed run of a design point.
+// repeats appends one SysPoint per perturbed run of a design point.
 func repeats(pts []runner.Point, exp string, cfg system.Config, p Params, params map[string]string) []runner.Point {
 	for rep := 0; rep < p.Runs; rep++ {
-		pts = append(pts, sysPoint(exp, cfg, p.Cycles, params, rep))
+		pts = append(pts, SysPoint(exp, cfg, p.Cycles, params, rep))
 	}
 	return pts
 }
@@ -335,10 +336,6 @@ func (fig4Exp) Aggregate(p Params, res []runner.Result) any {
 
 func (fig4Exp) Table(v any) string { return Fig4Table(v.([]Fig4Result)) }
 
-// Fig4 runs the registered fig4 experiment (historical signature, kept
-// for the root facade and the benchmark suite).
-func Fig4(p Params) []Fig4Result { return mustRun(fig4Exp{}, p).([]Fig4Result) }
-
 // Fig4Table renders Figure 4 in the paper's layout plus the true-scale
 // projection (4 GHz, Table 2 checkpoint interval).
 func Fig4Table(results []Fig4Result) string {
@@ -429,9 +426,6 @@ func (fig5Exp) Aggregate(p Params, res []runner.Result) any {
 
 func (fig5Exp) Table(v any) string { return Fig5Table(v.([]Fig5Result)) }
 
-// Fig5 runs the registered fig5 experiment (historical signature).
-func Fig5(p Params) []Fig5Result { return mustRun(fig5Exp{}, p).([]Fig5Result) }
-
 // Fig5Table renders Figure 5.
 func Fig5Table(results []Fig5Result) string {
 	t := stats.NewTable("workload", "static", "adaptive", "recoveries", "reorder rate", "static link util")
@@ -510,13 +504,6 @@ func (reorderExp) Aggregate(p Params, res []runner.Result) any {
 
 func (reorderExp) Table(v any) string { return ReorderTable(v.([]ReorderResult)) }
 
-// ReorderRates runs the registered reorder experiment on one workload
-// (historical signature).
-func ReorderRates(p Params, wl workload.Profile) []ReorderResult {
-	p.Workload = wl
-	return mustRun(reorderExp{}, p).([]ReorderResult)
-}
-
 // ReorderTable renders the reorder-rate study.
 func ReorderTable(results []ReorderResult) string {
 	t := stats.NewTable("link bw (MB/s)", "req vnet", "fwd vnet", "resp vnet", "final vnet", "total", "recoveries", "link util")
@@ -585,10 +572,6 @@ func (snoopExp) Aggregate(p Params, res []runner.Result) any {
 }
 
 func (snoopExp) Table(v any) string { return SnoopTable(v.([]SnoopResult)) }
-
-// SnoopRecoveries runs the registered snoop experiment (historical
-// signature).
-func SnoopRecoveries(p Params) []SnoopResult { return mustRun(snoopExp{}, p).([]SnoopResult) }
 
 // SnoopTable renders the snooping study.
 func SnoopTable(results []SnoopResult) string {
@@ -678,13 +661,6 @@ func (buffersExp) Aggregate(p Params, res []runner.Result) any {
 }
 
 func (buffersExp) Table(v any) string { return BufferTable(v.([]BufferResult)) }
-
-// BufferSweep runs the registered buffers experiment on one workload
-// (historical signature).
-func BufferSweep(p Params, wl workload.Profile) []BufferResult {
-	p.Workload = wl
-	return mustRun(buffersExp{}, p).([]BufferResult)
-}
 
 // BufferTable renders the buffer sweep.
 func BufferTable(results []BufferResult) string {
@@ -862,10 +838,6 @@ func (scale64Exp) Aggregate(p Params, res []runner.Result) any {
 
 func (scale64Exp) Table(v any) string { return ScaleTable(v.([]ScaleResult)) }
 
-// ScaleSweep runs the registered scale64 experiment (historical
-// signature).
-func ScaleSweep(p Params) []ScaleResult { return mustRun(scale64Exp{}, p).([]ScaleResult) }
-
 // ScaleTable renders the scaling study. Unsupported design points show
 // as "unsupported*" rows with the (deduplicated) reasons footnoted
 // below the table.
@@ -972,13 +944,6 @@ func DeflectionTable(results []DeflectionResult) string {
 	return strings.TrimSuffix(b.String(), "\n")
 }
 
-// DeflectionAblation runs the registered deflection experiment on one
-// workload (historical signature).
-func DeflectionAblation(p Params, wl workload.Profile) []DeflectionResult {
-	p.Workload = wl
-	return mustRun(deflectionExp{}, p).([]DeflectionResult)
-}
-
 // SlowStartResult is one limit point of the A2 ablation.
 type SlowStartResult struct {
 	Limit      int
@@ -1047,14 +1012,6 @@ func SlowStartTable(results []SlowStartResult) string {
 		fmt.Fprintf(&b, "  limit %d: perf %s, recoveries %.2f\n", r.Limit, r.Perf, r.Recoveries)
 	}
 	return strings.TrimSuffix(b.String(), "\n")
-}
-
-// SlowStartAblation runs the registered slowstart experiment with the
-// given limits (historical signature).
-func SlowStartAblation(p Params, wl workload.Profile, limits []int) []SlowStartResult {
-	p.Workload = wl
-	p = p.withAxis("limit", intStrings(limits))
-	return mustRun(slowstartExp{}, p).([]SlowStartResult)
 }
 
 // ReenableResult is one point of the A5 ablation: the paper §3.1 notes
@@ -1144,14 +1101,6 @@ func ReenableTable(results []ReenableResult) string {
 	return strings.TrimSuffix(b.String(), "\n")
 }
 
-// ReenableAblation runs the registered reenable experiment with the
-// given windows (historical signature).
-func ReenableAblation(p Params, wl workload.Profile, windows []sim.Time) []ReenableResult {
-	p.Workload = wl
-	p = p.withAxis("window", timeStrings(windows))
-	return mustRun(reenableExp{}, p).([]ReenableResult)
-}
-
 // CheckpointResult is one interval point of the A3 ablation.
 type CheckpointResult struct {
 	Interval        sim.Time
@@ -1219,29 +1168,4 @@ func CheckpointTable(results []CheckpointResult) string {
 			r.Interval, r.Perf, r.LogHighWater, r.CheckpointStall)
 	}
 	return strings.TrimSuffix(b.String(), "\n")
-}
-
-// CheckpointAblation runs the registered checkpoint experiment with
-// the given intervals (historical signature).
-func CheckpointAblation(p Params, wl workload.Profile, intervals []sim.Time) []CheckpointResult {
-	p.Workload = wl
-	p = p.withAxis("interval", timeStrings(intervals))
-	return mustRun(checkpointExp{}, p).([]CheckpointResult)
-}
-
-// ---- helpers ----
-
-// Summary formats any experiment's key-value pairs sorted by key, for
-// stable log output.
-func Summary(kv map[string]string) string {
-	keys := make([]string, 0, len(kv))
-	for k := range kv {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	for _, k := range keys {
-		fmt.Fprintf(&b, "%s=%s ", k, kv[k])
-	}
-	return strings.TrimSpace(b.String())
 }

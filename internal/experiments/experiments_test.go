@@ -9,10 +9,29 @@ import (
 	"testing"
 
 	"specsimp/internal/runner"
-	"specsimp/internal/sim"
 	"specsimp/internal/system"
 	"specsimp/internal/workload"
 )
+
+// run executes the named registered experiment the way sweep and
+// campaigns do, RunExperiment on its ByName entry, and returns the
+// typed aggregate. List-valued knobs travel as p.Axes overrides.
+func run[T any](tb testing.TB, name string, p Params) T {
+	tb.Helper()
+	e, ok := ByName(name)
+	if !ok {
+		tb.Fatalf("no registered experiment %q", name)
+	}
+	v, err := RunExperiment(e, p)
+	if err != nil {
+		tb.Fatalf("%s: %v", name, err)
+	}
+	out, ok := v.(T)
+	if !ok {
+		tb.Fatalf("%s aggregates to %T, not %T", name, v, out)
+	}
+	return out
+}
 
 // tiny returns fast parameters for unit testing the drivers.
 func tiny() Params {
@@ -26,7 +45,7 @@ func tiny() Params {
 }
 
 func TestFig4Driver(t *testing.T) {
-	res := Fig4(tiny())
+	res := run[[]Fig4Result](t, "fig4", tiny())
 	if len(res) != 2 {
 		t.Fatalf("results=%d", len(res))
 	}
@@ -56,7 +75,7 @@ func TestFig4Driver(t *testing.T) {
 func TestFig5Driver(t *testing.T) {
 	p := tiny()
 	p.Workloads = []workload.Profile{workload.Hotspot}
-	res := Fig5(p)
+	res := run[[]Fig5Result](t, "fig5", p)
 	if len(res) != 1 {
 		t.Fatal("no results")
 	}
@@ -73,7 +92,8 @@ func TestFig5Driver(t *testing.T) {
 
 func TestReorderDriver(t *testing.T) {
 	p := tiny()
-	res := ReorderRates(p, workload.Hotspot)
+	p.Workload = workload.Hotspot
+	res := run[[]ReorderResult](t, "reorder", p)
 	if len(res) != len(ReorderBandwidths) {
 		t.Fatal("missing bandwidth points")
 	}
@@ -94,7 +114,7 @@ func TestReorderDriver(t *testing.T) {
 func TestSnoopDriver(t *testing.T) {
 	p := tiny()
 	p.Workloads = []workload.Profile{workload.Uniform}
-	res := SnoopRecoveries(p)
+	res := run[[]SnoopResult](t, "snoop", p)
 	if len(res) != 1 {
 		t.Fatal("no results")
 	}
@@ -113,7 +133,8 @@ func TestSnoopDriver(t *testing.T) {
 
 func TestBufferSweepDriver(t *testing.T) {
 	p := tiny()
-	res := BufferSweep(p, workload.Hotspot)
+	p.Workload = workload.Hotspot
+	res := run[[]BufferResult](t, "buffers", p)
 	if len(res) != len(BufferSizes) {
 		t.Fatal("missing sizes")
 	}
@@ -157,7 +178,7 @@ func TestScaleSweepDriver(t *testing.T) {
 			t.Fatal(err)
 		}
 		p.Exec = &runner.Runner{Workers: workers, Sink: sink}
-		results[i] = ScaleSweep(p)
+		results[i] = run[[]ScaleResult](t, "scale64", p)
 		if err := sink.Err(); err != nil {
 			t.Fatal(err)
 		}
@@ -224,7 +245,7 @@ func TestScale1024SweepDriver(t *testing.T) {
 			t.Fatal(err)
 		}
 		p.Exec = &runner.Runner{Workers: workers, Sink: sink}
-		results[i] = Scale1024Sweep(p)
+		results[i] = run[[]ScaleResult](t, "scale1024", p)
 		if err := sink.Err(); err != nil {
 			t.Fatal(err)
 		}
@@ -271,7 +292,9 @@ func TestScale1024SweepDriver(t *testing.T) {
 
 func TestSlowStartAblationDriver(t *testing.T) {
 	p := tiny()
-	res := SlowStartAblation(p, workload.Hotspot, []int{1, 4})
+	p.Workload = workload.Hotspot
+	p.Axes = map[string][]string{"limit": {"1", "4"}}
+	res := run[[]SlowStartResult](t, "slowstart", p)
 	if len(res) != 2 {
 		t.Fatal("missing points")
 	}
@@ -284,7 +307,8 @@ func TestSlowStartAblationDriver(t *testing.T) {
 
 func TestCheckpointAblationDriver(t *testing.T) {
 	p := tiny()
-	res := CheckpointAblation(p, workload.Uniform, []sim.Time{2_000, 16_000})
+	p.Axes = map[string][]string{"interval": {"2000", "16000"}}
+	res := run[[]CheckpointResult](t, "checkpoint", p)
 	if len(res) != 2 {
 		t.Fatal("missing points")
 	}
@@ -308,7 +332,7 @@ func TestDriverArtifacts(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Exec = &runner.Runner{Workers: 2, Sink: sink}
-	res := Fig4(p)
+	res := run[[]Fig4Result](t, "fig4", p)
 	if err := sink.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +376,7 @@ func TestDriverArtifacts(t *testing.T) {
 // CSV and JSON artifacts.
 func TestDriverDeterminism(t *testing.T) {
 	p := tiny()
-	p.Workloads = []workload.Profile{workload.Uniform}
+	p.Axes = map[string][]string{"interval": {"2000", "8000"}}
 	dirs := [2]string{t.TempDir(), t.TempDir()}
 	for i, workers := range []int{1, 4} {
 		sink, err := runner.NewSink(dirs[i])
@@ -360,7 +384,7 @@ func TestDriverDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		p.Exec = &runner.Runner{Workers: workers, Sink: sink}
-		CheckpointAblation(p, workload.Uniform, []sim.Time{2_000, 8_000})
+		run[[]CheckpointResult](t, "checkpoint", p)
 		if err := sink.Err(); err != nil {
 			t.Fatal(err)
 		}
@@ -377,13 +401,6 @@ func TestDriverDeterminism(t *testing.T) {
 		if !bytes.Equal(a, b) {
 			t.Fatalf("%s not reproducible across identical grids", name)
 		}
-	}
-}
-
-func TestSummary(t *testing.T) {
-	s := Summary(map[string]string{"b": "2", "a": "1"})
-	if s != "a=1 b=2" {
-		t.Fatalf("summary %q", s)
 	}
 }
 
@@ -410,7 +427,7 @@ func TestScaleSweepShardDeterminism(t *testing.T) {
 		}
 		p.Shards = shards
 		p.Exec = &runner.Runner{Workers: 1 + i, Sink: sink}
-		ScaleSweep(p)
+		run[[]ScaleResult](t, "scale64", p)
 		if err := sink.Err(); err != nil {
 			t.Fatal(err)
 		}
@@ -439,7 +456,7 @@ func TestScaleSweepShardDeterminism(t *testing.T) {
 // reports a final interval.
 func TestAvailabilityDriver(t *testing.T) {
 	p := tiny()
-	res := Availability(p)
+	res := run[[]AvailabilityResult](t, "availability", p)
 	if len(res) != 12 {
 		t.Fatalf("rows=%d, want 4 regimes x 3 cadences", len(res))
 	}
@@ -484,7 +501,7 @@ func TestAvailabilitySweepShardDeterminism(t *testing.T) {
 		}
 		p.Shards = shards
 		p.Exec = &runner.Runner{Workers: 1 + i, Sink: sink}
-		Availability(p)
+		run[[]AvailabilityResult](t, "availability", p)
 		if err := sink.Err(); err != nil {
 			t.Fatal(err)
 		}
@@ -513,7 +530,8 @@ func TestWorkloadsDriver(t *testing.T) {
 	p := tiny()
 	p.Cycles = 50_000
 	p.Runs = 1
-	res := Workloads(p, workload.OLTP)
+	p.Workload = workload.OLTP
+	res := run[[]WorkloadsResult](t, "workloads", p)
 	grid := workloadsGrid(workload.OLTP)
 	if want := 2 * len(grid); len(res) != want {
 		t.Fatalf("rows=%d, want %d (grid=%d x 2 kinds)", len(res), want, len(grid))
@@ -565,7 +583,8 @@ func TestWorkloadsTraceCollapsesGrid(t *testing.T) {
 	p := tiny()
 	p.Cycles = 30_000
 	p.Runs = 1
-	res := Workloads(p, wl)
+	p.Workload = wl
+	res := run[[]WorkloadsResult](t, "workloads", p)
 	if len(res) != 2 {
 		t.Fatalf("trace study rows=%d, want 1 per protocol", len(res))
 	}
@@ -599,7 +618,7 @@ func TestWorkloadsSweepShardDeterminism(t *testing.T) {
 		}
 		p.Shards = shards
 		p.Exec = &runner.Runner{Workers: 1 + i, Sink: sink}
-		Workloads(p, workload.OLTP)
+		run[[]WorkloadsResult](t, "workloads", p)
 		if err := sink.Err(); err != nil {
 			t.Fatal(err)
 		}

@@ -59,8 +59,8 @@ func (k AxisKind) String() string {
 
 // Axis declares one experiment knob: its name, value type, arity, and
 // registry-level default. Defaults are declared here — not at call
-// sites — so the CLI, campaign specs, and the legacy driver functions
-// all resolve through one normalization path.
+// sites — so the CLI, campaign specs and tests all resolve through one
+// normalization path.
 type Axis struct {
 	Name string
 	Kind AxisKind
@@ -360,20 +360,6 @@ func (p Params) AxisProfile(name string) workload.Profile {
 	return ws[0]
 }
 
-// withAxis returns p with one axis override set, copying the override
-// map so callers' Params are untouched. Used by the legacy driver
-// wrappers to funnel their historical list arguments through the one
-// normalization path.
-func (p Params) withAxis(name string, vals []string) Params {
-	ax := make(map[string][]string, len(p.Axes)+1)
-	for k, v := range p.Axes {
-		ax[k] = v
-	}
-	ax[name] = vals
-	p.Axes = ax
-	return p
-}
-
 // ---- execution ----
 
 // ErrInterrupted reports that an experiment's grid was interrupted
@@ -400,17 +386,6 @@ func RunExperiment(e Experiment, p Params) (any, error) {
 	out := e.Aggregate(p, res)
 	ex.Summarize(e.Name(), out)
 	return out, nil
-}
-
-// mustRun backs the legacy driver functions (Fig4, ScaleSweep, ...):
-// their fixed signatures predate axis errors, and the only failures
-// possible through them are programming errors.
-func mustRun(e Experiment, p Params) any {
-	v, err := RunExperiment(e, p)
-	if err != nil {
-		panic("experiments: " + e.Name() + ": " + err.Error())
-	}
-	return v
 }
 
 // ---- shared axis constructors and encoders ----

@@ -94,7 +94,7 @@ func (scale1024Exp) Grid(p Params) []runner.Point {
 				"sharers": v.label,
 			}
 			for rep := 0; rep < p.Runs; rep++ {
-				pts = append(pts, sysPoint("scale1024", cfg, cycles, params, rep))
+				pts = append(pts, SysPoint("scale1024", cfg, cycles, params, rep))
 			}
 		}
 	}
@@ -139,14 +139,4 @@ func (scale1024Exp) Aggregate(p Params, res []runner.Result) any {
 	return out
 }
 
-func (scale1024Exp) Table(v any) string { return Scale1024Table(v.([]ScaleResult)) }
-
-// Scale1024Sweep runs the registered scale1024 experiment (historical
-// signature; OLTP by default).
-func Scale1024Sweep(p Params) []ScaleResult { return mustRun(scale1024Exp{}, p).([]ScaleResult) }
-
-// Scale1024Table renders the 1024-node scaling study with the same
-// layout as the scale64 table (unsupported points footnoted).
-func Scale1024Table(results []ScaleResult) string {
-	return ScaleTable(results)
-}
+func (scale1024Exp) Table(v any) string { return ScaleTable(v.([]ScaleResult)) }

@@ -172,13 +172,6 @@ func (workloadsExp) Aggregate(p Params, res []runner.Result) any {
 
 func (workloadsExp) Table(v any) string { return WorkloadsTable(v.([]WorkloadsResult)) }
 
-// Workloads runs the registered workloads experiment on one base
-// profile (historical signature).
-func Workloads(p Params, wl workload.Profile) []WorkloadsResult {
-	p.Workload = wl
-	return mustRun(workloadsExp{}, p).([]WorkloadsResult)
-}
-
 // WorkloadsTable renders the workload-realism study.
 func WorkloadsTable(results []WorkloadsResult) string {
 	t := stats.NewTable("system", "stream", "idiom", "zipf s", "phase", "IPC", "recoveries", "miss latency", "invs", "txns", "link util")

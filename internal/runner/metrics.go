@@ -51,236 +51,92 @@ type Metrics struct {
 	RollbackMax             float64
 }
 
-// metricKeys lists every metric column in sorted order — the CSV layout
-// contract (the artifact format predates the typed schema and is kept
-// byte-compatible).
-var metricKeys = []string{
-	"checkpoint_interval_final",
-	"checkpoint_stall",
-	"checkpoints",
-	"corner_detected",
-	"corner_handled",
-	"cycles",
-	"deflections",
-	"degraded_cycles",
-	"degraded_instructions",
-	"instructions",
-	"inv_broadcasts",
-	"invalidations",
-	"limit_stalls",
-	"log_high_water_bytes",
-	"log_overflows",
-	"log_stall_cycles",
-	"mean_link_util",
-	"mean_lost_work",
-	"miss_latency_mean",
-	"order_violations",
-	"outage_cycles",
-	"perf",
-	"recoveries",
-	"recovery_lat_max",
-	"recovery_lat_min",
-	"recovery_lat_n",
-	"recovery_lat_sum",
-	"reorder_total",
-	"reorder_vnet0",
-	"reorder_vnet1",
-	"reorder_vnet2",
-	"reorder_vnet3",
-	"rollback_max",
-	"rollback_min",
-	"rollback_n",
-	"rollback_sum",
-	"sharer_overflows",
-	"timeouts",
-	"transactions",
-	"wb_races",
-	"writebacks",
+// metricTable is the metric schema's only list of CSV column names:
+// each name paired with the Metrics slot it reads and writes, in
+// sorted order, which is the CSV layout contract (the artifact format
+// predates the typed schema and is kept byte-compatible). MetricKeys,
+// Get and Set all derive from it.
+var metricTable = []struct {
+	key  string
+	slot func(m *Metrics) *float64
+}{
+	{"checkpoint_interval_final", func(m *Metrics) *float64 { return &m.CheckpointIntervalFinal }},
+	{"checkpoint_stall", func(m *Metrics) *float64 { return &m.CheckpointStall }},
+	{"checkpoints", func(m *Metrics) *float64 { return &m.Checkpoints }},
+	{"corner_detected", func(m *Metrics) *float64 { return &m.CornerDetected }},
+	{"corner_handled", func(m *Metrics) *float64 { return &m.CornerHandled }},
+	{"cycles", func(m *Metrics) *float64 { return &m.Cycles }},
+	{"deflections", func(m *Metrics) *float64 { return &m.Deflections }},
+	{"degraded_cycles", func(m *Metrics) *float64 { return &m.DegradedCycles }},
+	{"degraded_instructions", func(m *Metrics) *float64 { return &m.DegradedInstructions }},
+	{"instructions", func(m *Metrics) *float64 { return &m.Instructions }},
+	{"inv_broadcasts", func(m *Metrics) *float64 { return &m.InvBroadcasts }},
+	{"invalidations", func(m *Metrics) *float64 { return &m.Invalidations }},
+	{"limit_stalls", func(m *Metrics) *float64 { return &m.LimitStalls }},
+	{"log_high_water_bytes", func(m *Metrics) *float64 { return &m.LogHighWaterBytes }},
+	{"log_overflows", func(m *Metrics) *float64 { return &m.LogOverflows }},
+	{"log_stall_cycles", func(m *Metrics) *float64 { return &m.LogStallCycles }},
+	{"mean_link_util", func(m *Metrics) *float64 { return &m.MeanLinkUtil }},
+	{"mean_lost_work", func(m *Metrics) *float64 { return &m.MeanLostWork }},
+	{"miss_latency_mean", func(m *Metrics) *float64 { return &m.MissLatencyMean }},
+	{"order_violations", func(m *Metrics) *float64 { return &m.OrderViolations }},
+	{"outage_cycles", func(m *Metrics) *float64 { return &m.OutageCycles }},
+	{"perf", func(m *Metrics) *float64 { return &m.Perf }},
+	{"recoveries", func(m *Metrics) *float64 { return &m.Recoveries }},
+	{"recovery_lat_max", func(m *Metrics) *float64 { return &m.RecoveryLatMax }},
+	{"recovery_lat_min", func(m *Metrics) *float64 { return &m.RecoveryLatMin }},
+	{"recovery_lat_n", func(m *Metrics) *float64 { return &m.RecoveryLatN }},
+	{"recovery_lat_sum", func(m *Metrics) *float64 { return &m.RecoveryLatSum }},
+	{"reorder_total", func(m *Metrics) *float64 { return &m.ReorderTotal }},
+	{"reorder_vnet0", func(m *Metrics) *float64 { return &m.ReorderVNet[0] }},
+	{"reorder_vnet1", func(m *Metrics) *float64 { return &m.ReorderVNet[1] }},
+	{"reorder_vnet2", func(m *Metrics) *float64 { return &m.ReorderVNet[2] }},
+	{"reorder_vnet3", func(m *Metrics) *float64 { return &m.ReorderVNet[3] }},
+	{"rollback_max", func(m *Metrics) *float64 { return &m.RollbackMax }},
+	{"rollback_min", func(m *Metrics) *float64 { return &m.RollbackMin }},
+	{"rollback_n", func(m *Metrics) *float64 { return &m.RollbackN }},
+	{"rollback_sum", func(m *Metrics) *float64 { return &m.RollbackSum }},
+	{"sharer_overflows", func(m *Metrics) *float64 { return &m.SharerOverflows }},
+	{"timeouts", func(m *Metrics) *float64 { return &m.Timeouts }},
+	{"transactions", func(m *Metrics) *float64 { return &m.Transactions }},
+	{"wb_races", func(m *Metrics) *float64 { return &m.WBRaces }},
+	{"writebacks", func(m *Metrics) *float64 { return &m.Writebacks }},
 }
+
+// metricIndex maps a column name to its metricTable row.
+var metricIndex = func() map[string]int {
+	idx := make(map[string]int, len(metricTable))
+	for i, e := range metricTable {
+		idx[e.key] = i
+	}
+	return idx
+}()
 
 // MetricKeys returns the metric column names in CSV order.
-func MetricKeys() []string { return append([]string(nil), metricKeys...) }
+func MetricKeys() []string {
+	keys := make([]string, len(metricTable))
+	for i, e := range metricTable {
+		keys[i] = e.key
+	}
+	return keys
+}
 
-// Set assigns the metric named by key (the CSV column name) —
-// Get's inverse, used by the analysis stage to reconstruct a run's
-// Metrics from its CSV row without re-simulating. Unknown keys are a
-// programming error and panic, exactly like Get.
-func (m *Metrics) Set(key string, v float64) {
-	switch key {
-	case "perf":
-		m.Perf = v
-	case "cycles":
-		m.Cycles = v
-	case "instructions":
-		m.Instructions = v
-	case "recoveries":
-		m.Recoveries = v
-	case "checkpoints":
-		m.Checkpoints = v
-	case "checkpoint_stall":
-		m.CheckpointStall = v
-	case "mean_lost_work":
-		m.MeanLostWork = v
-	case "mean_link_util":
-		m.MeanLinkUtil = v
-	case "reorder_total":
-		m.ReorderTotal = v
-	case "deflections":
-		m.Deflections = v
-	case "timeouts":
-		m.Timeouts = v
-	case "corner_detected":
-		m.CornerDetected = v
-	case "corner_handled":
-		m.CornerHandled = v
-	case "log_high_water_bytes":
-		m.LogHighWaterBytes = v
-	case "writebacks":
-		m.Writebacks = v
-	case "wb_races":
-		m.WBRaces = v
-	case "invalidations":
-		m.Invalidations = v
-	case "inv_broadcasts":
-		m.InvBroadcasts = v
-	case "sharer_overflows":
-		m.SharerOverflows = v
-	case "transactions":
-		m.Transactions = v
-	case "miss_latency_mean":
-		m.MissLatencyMean = v
-	case "limit_stalls":
-		m.LimitStalls = v
-	case "order_violations":
-		m.OrderViolations = v
-	case "reorder_vnet0":
-		m.ReorderVNet[0] = v
-	case "reorder_vnet1":
-		m.ReorderVNet[1] = v
-	case "reorder_vnet2":
-		m.ReorderVNet[2] = v
-	case "reorder_vnet3":
-		m.ReorderVNet[3] = v
-	case "outage_cycles":
-		m.OutageCycles = v
-	case "degraded_cycles":
-		m.DegradedCycles = v
-	case "degraded_instructions":
-		m.DegradedInstructions = v
-	case "log_stall_cycles":
-		m.LogStallCycles = v
-	case "log_overflows":
-		m.LogOverflows = v
-	case "checkpoint_interval_final":
-		m.CheckpointIntervalFinal = v
-	case "recovery_lat_n":
-		m.RecoveryLatN = v
-	case "recovery_lat_sum":
-		m.RecoveryLatSum = v
-	case "recovery_lat_min":
-		m.RecoveryLatMin = v
-	case "recovery_lat_max":
-		m.RecoveryLatMax = v
-	case "rollback_n":
-		m.RollbackN = v
-	case "rollback_sum":
-		m.RollbackSum = v
-	case "rollback_min":
-		m.RollbackMin = v
-	case "rollback_max":
-		m.RollbackMax = v
-	default:
+// slot returns the field the metric named by key (the CSV column name)
+// lives in. Unknown keys are a programming error and panic: experiment
+// aggregation code addresses metrics by name and a typo must not read
+// as silent zero.
+func (m *Metrics) slot(key string) *float64 {
+	i, ok := metricIndex[key]
+	if !ok {
 		panic("runner: unknown metric key " + key)
 	}
+	return metricTable[i].slot(m)
 }
 
-// Get returns the metric named by key (the CSV column name). Unknown
-// keys are a programming error and panic: experiment aggregation code
-// addresses metrics by name and a typo must not read as silent zero.
-func (m *Metrics) Get(key string) float64 {
-	switch key {
-	case "perf":
-		return m.Perf
-	case "cycles":
-		return m.Cycles
-	case "instructions":
-		return m.Instructions
-	case "recoveries":
-		return m.Recoveries
-	case "checkpoints":
-		return m.Checkpoints
-	case "checkpoint_stall":
-		return m.CheckpointStall
-	case "mean_lost_work":
-		return m.MeanLostWork
-	case "mean_link_util":
-		return m.MeanLinkUtil
-	case "reorder_total":
-		return m.ReorderTotal
-	case "deflections":
-		return m.Deflections
-	case "timeouts":
-		return m.Timeouts
-	case "corner_detected":
-		return m.CornerDetected
-	case "corner_handled":
-		return m.CornerHandled
-	case "log_high_water_bytes":
-		return m.LogHighWaterBytes
-	case "writebacks":
-		return m.Writebacks
-	case "wb_races":
-		return m.WBRaces
-	case "invalidations":
-		return m.Invalidations
-	case "inv_broadcasts":
-		return m.InvBroadcasts
-	case "sharer_overflows":
-		return m.SharerOverflows
-	case "transactions":
-		return m.Transactions
-	case "miss_latency_mean":
-		return m.MissLatencyMean
-	case "limit_stalls":
-		return m.LimitStalls
-	case "order_violations":
-		return m.OrderViolations
-	case "reorder_vnet0":
-		return m.ReorderVNet[0]
-	case "reorder_vnet1":
-		return m.ReorderVNet[1]
-	case "reorder_vnet2":
-		return m.ReorderVNet[2]
-	case "reorder_vnet3":
-		return m.ReorderVNet[3]
-	case "outage_cycles":
-		return m.OutageCycles
-	case "degraded_cycles":
-		return m.DegradedCycles
-	case "degraded_instructions":
-		return m.DegradedInstructions
-	case "log_stall_cycles":
-		return m.LogStallCycles
-	case "log_overflows":
-		return m.LogOverflows
-	case "checkpoint_interval_final":
-		return m.CheckpointIntervalFinal
-	case "recovery_lat_n":
-		return m.RecoveryLatN
-	case "recovery_lat_sum":
-		return m.RecoveryLatSum
-	case "recovery_lat_min":
-		return m.RecoveryLatMin
-	case "recovery_lat_max":
-		return m.RecoveryLatMax
-	case "rollback_n":
-		return m.RollbackN
-	case "rollback_sum":
-		return m.RollbackSum
-	case "rollback_min":
-		return m.RollbackMin
-	case "rollback_max":
-		return m.RollbackMax
-	}
-	panic("runner: unknown metric key " + key)
-}
+// Get returns the metric named by key; unknown keys panic.
+func (m *Metrics) Get(key string) float64 { return *m.slot(key) }
+
+// Set assigns the metric named by key — Get's inverse, used to rebuild
+// a run's Metrics from its CSV row or ledger entry without
+// re-simulating. Unknown keys panic, exactly like Get.
+func (m *Metrics) Set(key string, v float64) { *m.slot(key) = v }

@@ -55,8 +55,9 @@ type Result struct {
 }
 
 // PerturbSeed derives the deterministic seed for a repeat from a base
-// seed, matching the perturbation scheme of system.RunPerturbed so that
-// grid-based drivers reproduce the historical per-run numbers.
+// seed (base + repeat·7919, the historical §5.2 perturbation scheme),
+// so every experiment grid and specsim -runs reproduce the same
+// per-run numbers.
 func PerturbSeed(base uint64, repeat int) uint64 {
 	return base + uint64(repeat)*7919
 }

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -59,7 +61,7 @@ func TestRunPreservesPointOrder(t *testing.T) {
 }
 
 func TestPerturbSeedMatchesHistoricalScheme(t *testing.T) {
-	// system.RunPerturbed's scheme: base + i*7919. The grid port must
+	// The §5.2 scheme: base + i*7919. Grids and specsim -runs must
 	// reproduce the same per-run seeds so historical results carry over.
 	if got := PerturbSeed(1, 0); got != 1 {
 		t.Fatalf("repeat 0: %d", got)
@@ -349,5 +351,124 @@ func TestInterruptSuppressesArtifacts(t *testing.T) {
 		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
 			t.Fatalf("interrupted run wrote artifact %s", name)
 		}
+	}
+}
+
+// TestCSVHeaderLiteral pins the CSV layout column by column. The
+// expected header is written out in full, not derived from MetricKeys,
+// so a renamed, dropped or reordered metric column fails here even if
+// every other test agrees with the new schema.
+func TestCSVHeaderLiteral(t *testing.T) {
+	dir := t.TempDir()
+	sink, err := NewSink(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	(&Runner{Workers: 1, Sink: sink}).Run(grid("literal", 1, 1, nil))
+	if err := sink.Err(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "literal.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "experiment,workload,repeat,seed,axis,beta," +
+		"checkpoint_interval_final,checkpoint_stall,checkpoints,corner_detected,corner_handled," +
+		"cycles,deflections,degraded_cycles,degraded_instructions,instructions," +
+		"inv_broadcasts,invalidations,limit_stalls,log_high_water_bytes,log_overflows," +
+		"log_stall_cycles,mean_link_util,mean_lost_work,miss_latency_mean,order_violations," +
+		"outage_cycles,perf,recoveries,recovery_lat_max,recovery_lat_min," +
+		"recovery_lat_n,recovery_lat_sum,reorder_total,reorder_vnet0,reorder_vnet1," +
+		"reorder_vnet2,reorder_vnet3,rollback_max,rollback_min,rollback_n," +
+		"rollback_sum,sharer_overflows,timeouts,transactions,wb_races," +
+		"writebacks,error"
+	if got, _, _ := strings.Cut(string(data), "\n"); got != want {
+		t.Fatalf("header\n got: %s\nwant: %s", got, want)
+	}
+}
+
+// TestMetricSchemaBijection checks the metric names against the
+// Metrics struct by reflection: every key's Set lands in exactly one
+// float64 slot (the four ReorderVNet elements included), every slot is
+// reached by exactly one key, Get returns what Set stored, keys are
+// sorted and unique, and an unknown key panics in both directions.
+func TestMetricSchemaBijection(t *testing.T) {
+	keys := MetricKeys()
+	if !sort.StringsAreSorted(keys) {
+		t.Fatalf("metric keys not sorted: %v", keys)
+	}
+	for i := 1; i < len(keys); i++ {
+		if keys[i] == keys[i-1] {
+			t.Fatalf("metric key %q listed twice", keys[i])
+		}
+	}
+	slots := func(m *Metrics) []float64 {
+		var out []float64
+		v := reflect.ValueOf(m).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			f := v.Field(i)
+			switch f.Kind() {
+			case reflect.Float64:
+				out = append(out, f.Float())
+			case reflect.Array:
+				for j := 0; j < f.Len(); j++ {
+					out = append(out, f.Index(j).Float())
+				}
+			default:
+				t.Fatalf("Metrics field %s has kind %s, want float64 or [N]float64", v.Type().Field(i).Name, f.Kind())
+			}
+		}
+		return out
+	}
+	nslots := len(slots(&Metrics{}))
+	if len(keys) != nslots {
+		t.Fatalf("%d metric keys for %d float64 slots", len(keys), nslots)
+	}
+	owner := make([]string, nslots)
+	for i, k := range keys {
+		var m Metrics
+		want := float64(i + 1)
+		m.Set(k, want)
+		hit := -1
+		for s, v := range slots(&m) {
+			if v == 0 {
+				continue
+			}
+			if hit >= 0 || v != want {
+				t.Fatalf("Set(%q, %v) changed more than one slot or stored %v", k, want, v)
+			}
+			hit = s
+		}
+		if hit < 0 {
+			t.Fatalf("Set(%q) reached no slot", k)
+		}
+		if owner[hit] != "" {
+			t.Fatalf("keys %q and %q share slot %d", owner[hit], k, hit)
+		}
+		owner[hit] = k
+		if got := m.Get(k); got != want {
+			t.Fatalf("Get(%q) = %v after Set(%v)", k, got, want)
+		}
+	}
+	for s, k := range owner {
+		if k == "" {
+			t.Fatalf("slot %d is reached by no key", s)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		f    func()
+	}{
+		{"Get", func() { (&Metrics{}).Get("no_such_metric") }},
+		{"Set", func() { (&Metrics{}).Set("no_such_metric", 1) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s with an unknown key did not panic", c.name)
+				}
+			}()
+			c.f()
+		}()
 	}
 }

@@ -22,9 +22,9 @@ import (
 type Sink struct {
 	dir string
 
-	mu      sync.Mutex
-	err     error
-	columns map[string][]string // experiment -> CSV header, fixed at first write
+	mu     sync.Mutex
+	err    error
+	params map[string][]string // experiment -> param columns, fixed at first write
 }
 
 // NewSink creates (if needed) the output directory and returns a sink
@@ -33,7 +33,7 @@ func NewSink(dir string) (*Sink, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("runner: create output dir: %w", err)
 	}
-	return &Sink{dir: dir, columns: map[string][]string{}}, nil
+	return &Sink{dir: dir, params: map[string][]string{}}, nil
 }
 
 // RunDir returns "<root>/run-<id>": the deterministic run-directory
@@ -69,11 +69,21 @@ func (s *Sink) fail(err error) {
 	}
 }
 
+// CSVHeader returns the per-run CSV header of an experiment whose
+// first point has the given params: experiment, workload, repeat,
+// seed, the sorted param keys, the metric keys in schema order, and
+// error. The sink writes it and the analysis stage checks it, so the
+// layout has one definition.
+func CSVHeader(params map[string]string) []string {
+	cols := append([]string{"experiment", "workload", "repeat", "seed"}, sortedKeys(params)...)
+	cols = append(cols, MetricKeys()...)
+	return append(cols, "error")
+}
+
 // AppendRows appends one CSV row per result to each result's
 // per-experiment CSV file (<experiment>.csv), creating the file with a
-// header on first use. Rows are written in slice order; the header —
-// experiment, workload, repeat, seed, sorted param keys, sorted metric
-// keys, error — is fixed by the experiment's first row. Values are
+// header on first use. Rows are written in slice order; the header
+// (CSVHeader) is fixed by the experiment's first row. Values are
 // formatted with the shortest round-trip representation, so identical
 // grids reproduce identical bytes. Failed points (Result.Err) land as
 // rows with zero metrics and the error message in the final column.
@@ -92,12 +102,10 @@ func (s *Sink) AppendRows(results []Result) {
 	}()
 	for i := range results {
 		r := &results[i]
-		cols, seen := s.columns[r.Experiment]
+		params, seen := s.params[r.Experiment]
 		if !seen {
-			cols = append([]string{"experiment", "workload", "repeat", "seed"},
-				append(sortedKeys(r.Params), metricKeys...)...)
-			cols = append(cols, "error")
-			s.columns[r.Experiment] = cols
+			params = sortedKeys(r.Params)
+			s.params[r.Experiment] = params
 		}
 		f := files[r.Experiment]
 		if f == nil {
@@ -116,33 +124,21 @@ func (s *Sink) AppendRows(results []Result) {
 			}
 			files[r.Experiment] = f
 			if !seen {
-				if _, err := f.WriteString(strings.Join(cols, ",") + "\n"); err != nil {
+				if _, err := f.WriteString(strings.Join(CSVHeader(r.Params), ",") + "\n"); err != nil {
 					s.fail(err)
 					return
 				}
 			}
 		}
-		row := make([]string, 0, len(cols))
-		for _, c := range cols {
-			switch c {
-			case "experiment":
-				row = append(row, r.Experiment)
-			case "workload":
-				row = append(row, r.Workload)
-			case "repeat":
-				row = append(row, strconv.Itoa(r.Repeat))
-			case "seed":
-				row = append(row, strconv.FormatUint(r.Seed, 10))
-			case "error":
-				row = append(row, csvSafe(errText(r.Err)))
-			default:
-				if v, ok := r.Params[c]; ok {
-					row = append(row, v)
-				} else {
-					row = append(row, strconv.FormatFloat(r.Metrics.Get(c), 'g', -1, 64))
-				}
-			}
+		row := make([]string, 0, 5+len(params)+len(metricTable))
+		row = append(row, r.Experiment, r.Workload, strconv.Itoa(r.Repeat), strconv.FormatUint(r.Seed, 10))
+		for _, k := range params {
+			row = append(row, r.Params[k])
 		}
+		for _, e := range metricTable {
+			row = append(row, strconv.FormatFloat(*e.slot(&r.Metrics), 'g', -1, 64))
+		}
+		row = append(row, csvSafe(errText(r.Err)))
 		if _, err := f.WriteString(strings.Join(row, ",") + "\n"); err != nil {
 			s.fail(err)
 			return

@@ -2,16 +2,14 @@
 // processor + two-level cache hierarchy + coherence protocol (directory
 // or snooping, full or speculatively simplified) + interconnect +
 // SafetyNet + the speculation-for-simplicity coordinator (paper §5.1).
-// It also implements the evaluation methodology: timed runs, checkpoint
-// orchestration, recovery injection (Figure 4), and multi-run
-// perturbation statistics (paper §5.2).
+// It also implements the evaluation methodology of one run: timed runs,
+// checkpoint orchestration and recovery injection (Figure 4). Perturbed
+// multi-runs (paper §5.2) are sweep-engine grids (internal/runner).
 package system
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
 
 	"specsimp/internal/coherence"
 	"specsimp/internal/core"
@@ -1108,44 +1106,6 @@ func RunOneChecked(cfg Config, cycles sim.Time) (Results, error) {
 	return s.Run(cycles), nil
 }
 
-// PerturbedResult aggregates several perturbed runs of one design point
-// (the paper §5.2 methodology: "we simulate each design point multiple
-// times with small, pseudo-random perturbations ... error bars represent
-// one standard deviation").
-type PerturbedResult struct {
-	Perf       stats.Sample
-	Recoveries stats.Sample
-	Runs       []Results
-}
-
-// RunPerturbed executes n runs that differ only in seed, in parallel
-// (each run owns its kernel; determinism is per-run).
-func RunPerturbed(cfg Config, n int, cycles sim.Time) PerturbedResult {
-	results := make([]Results, n)
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, maxParallel())
-	for i := 0; i < n; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			c := cfg
-			c.Seed = cfg.Seed + uint64(i)*7919
-			results[i] = RunOne(c, cycles)
-		}()
-	}
-	wg.Wait()
-	var out PerturbedResult
-	out.Runs = results
-	for _, r := range results {
-		out.Perf.Observe(r.Perf)
-		out.Recoveries.Observe(float64(r.Recoveries))
-	}
-	return out
-}
-
 func overrideCaches(l1b, l1w, l2b, l2w *int, cfg Config) {
 	if cfg.L1Bytes > 0 {
 		*l1b = cfg.L1Bytes
@@ -1159,14 +1119,6 @@ func overrideCaches(l1b, l1w, l2b, l2w *int, cfg Config) {
 	if cfg.L2Ways > 0 {
 		*l2w = cfg.L2Ways
 	}
-}
-
-func maxParallel() int {
-	n := runtime.GOMAXPROCS(0)
-	if n < 1 {
-		n = 1
-	}
-	return n
 }
 
 // Table2 renders the target system parameters (paper Table 2).

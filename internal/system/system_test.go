@@ -141,21 +141,6 @@ func TestCheckpointLogStaysBounded(t *testing.T) {
 	}
 }
 
-func TestRunPerturbed(t *testing.T) {
-	cfg := DefaultConfig(DirectoryFull, workload.Uniform)
-	pr := RunPerturbed(cfg, 4, 250_000)
-	if pr.Perf.N() != 4 {
-		t.Fatalf("runs=%d", pr.Perf.N())
-	}
-	if pr.Perf.Mean() <= 0 {
-		t.Fatal("no performance measured")
-	}
-	// Perturbed runs must actually differ (different seeds).
-	if pr.Perf.Min() == pr.Perf.Max() {
-		t.Log("warning: all perturbed runs identical; seeds may not be wired")
-	}
-}
-
 func TestAuditAfterSystemRun(t *testing.T) {
 	// After a run with recoveries, drain and audit protocol invariants.
 	cfg := DefaultConfig(DirectoryFull, workload.Hotspot)

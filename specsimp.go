@@ -89,14 +89,6 @@ func RunOneChecked(cfg Config, cycles Time) (Results, error) {
 	return system.RunOneChecked(cfg, cycles)
 }
 
-// PerturbedResult aggregates perturbed runs (paper §5.2 methodology).
-type PerturbedResult = system.PerturbedResult
-
-// RunPerturbed executes n seed-perturbed runs in parallel.
-func RunPerturbed(cfg Config, n int, cycles Time) PerturbedResult {
-	return system.RunPerturbed(cfg, n, cycles)
-}
-
 // ---- workloads (paper Table 3) ----
 
 // Workload parameterizes a synthetic reference stream.
@@ -228,27 +220,6 @@ type ExperimentParams = experiments.Params
 // returns the EXPERIMENTS.md parameters.
 func QuickParams() ExperimentParams    { return experiments.Quick() }
 func StandardParams() ExperimentParams { return experiments.Standard() }
-
-// Experiment drivers, one per paper artifact. See the experiments
-// package and EXPERIMENTS.md for details.
-var (
-	Fig4            = experiments.Fig4
-	Fig4Table       = experiments.Fig4Table
-	Fig5            = experiments.Fig5
-	Fig5Table       = experiments.Fig5Table
-	ReorderRates    = experiments.ReorderRates
-	ReorderTable    = experiments.ReorderTable
-	SnoopRecoveries = experiments.SnoopRecoveries
-	SnoopTable      = experiments.SnoopTable
-	BufferSweep     = experiments.BufferSweep
-	BufferTable     = experiments.BufferTable
-	ScaleSweep      = experiments.ScaleSweep
-	ScaleTable      = experiments.ScaleTable
-	Scale1024Sweep  = experiments.Scale1024Sweep
-	Scale1024Table  = experiments.Scale1024Table
-	Workloads       = experiments.Workloads
-	WorkloadsTable  = experiments.WorkloadsTable
-)
 
 // DefaultConfigSized returns the Table 2 system scaled to a w×h torus.
 // Directory systems scale to 32×32 (1024 nodes) — the sharer-set format

@@ -99,11 +99,3 @@ func TestFacadeSpeculations(t *testing.T) {
 		}
 	}
 }
-
-func TestFacadePerturbedRuns(t *testing.T) {
-	cfg := specsimp.DefaultConfig(specsimp.DirectoryFull, specsimp.Uniform)
-	pr := specsimp.RunPerturbed(cfg, 3, 150_000)
-	if pr.Perf.N() != 3 || pr.Perf.Mean() <= 0 {
-		t.Fatalf("perturbed runs broken: %v", pr.Perf)
-	}
-}

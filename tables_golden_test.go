@@ -66,7 +66,7 @@ func TestGoldenFig4Table(t *testing.T) {
 			MeanLostWork: 8100,
 		},
 	}
-	checkGolden(t, "fig4", Fig4Table(res))
+	checkGolden(t, "fig4", experiments.Fig4Table(res))
 }
 
 func TestGoldenFig5Table(t *testing.T) {
@@ -74,7 +74,7 @@ func TestGoldenFig5Table(t *testing.T) {
 		{Workload: "oltp", StaticPerf: cellAt(1, 0), AdaptivePerf: cellAt(1.062, 0.011), Recoveries: 0.33, ReorderRate: 0.00012, MeanLinkUtil: 0.21},
 		{Workload: "barnes", StaticPerf: cellAt(1, 0), AdaptivePerf: cellAt(1.018, 0.004), Recoveries: 0, ReorderRate: 0, MeanLinkUtil: 0.13},
 	}
-	checkGolden(t, "fig5", Fig5Table(res))
+	checkGolden(t, "fig5", experiments.Fig5Table(res))
 }
 
 func TestGoldenReorderTable(t *testing.T) {
@@ -82,7 +82,7 @@ func TestGoldenReorderTable(t *testing.T) {
 		{BandwidthBpc: 0.1, BandwidthMBs: 400, PerVNet: []float64{0, 0.00021, 0.00007, 0}, Total: 0.00009, Recoveries: 0.67, MeanLinkUtil: 0.34},
 		{BandwidthBpc: 0.8, BandwidthMBs: 3200, PerVNet: []float64{0, 0.00002, 0, 0}, Total: 0.00001, Recoveries: 0, MeanLinkUtil: 0.08},
 	}
-	checkGolden(t, "reorder", ReorderTable(res))
+	checkGolden(t, "reorder", experiments.ReorderTable(res))
 }
 
 func TestGoldenSnoopTable(t *testing.T) {
@@ -90,7 +90,7 @@ func TestGoldenSnoopTable(t *testing.T) {
 		{Workload: "oltp", Perf: cellAt(0.997, 0.006), CornerDetected: 0, FullCornerHit: 2.5},
 		{Workload: "apache", Perf: cellAt(1.001, 0.004), CornerDetected: 0, FullCornerHit: 1},
 	}
-	checkGolden(t, "snoop", SnoopTable(res))
+	checkGolden(t, "snoop", experiments.SnoopTable(res))
 }
 
 func TestGoldenBufferTable(t *testing.T) {
@@ -99,7 +99,7 @@ func TestGoldenBufferTable(t *testing.T) {
 		{BufferSize: 8, Perf: cellAt(0.988, 0.009), Recoveries: 0, Timeouts: 0},
 		{BufferSize: 2, Perf: cellAt(0.471, 0.083), Recoveries: 12.3, Timeouts: 12.3},
 	}
-	checkGolden(t, "buffers", BufferTable(res))
+	checkGolden(t, "buffers", experiments.BufferTable(res))
 }
 
 func TestGoldenScaleTable(t *testing.T) {
@@ -121,7 +121,7 @@ func TestGoldenScaleTable(t *testing.T) {
 		{Kind: "snoop-spec", Workload: "oltp", Width: 32, Height: 32, Sharers: "-",
 			Err: "system: snooping systems cap at 256 nodes even on the segmented address network (every ordered request still reaches every node); 1024 nodes needs a directory kind"},
 	}
-	checkGolden(t, "scale64", ScaleTable(res))
+	checkGolden(t, "scale64", experiments.ScaleTable(res))
 }
 
 // TestGoldenTable2Scales guards the sized variant: the 8×8 Table 2
