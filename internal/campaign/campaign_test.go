@@ -290,6 +290,17 @@ func TestBuildPlanValidation(t *testing.T) {
 		{"bad shard count", `{"run_id": "x", "shards": "zero", "experiments": [{"name": "fig5"}]}`, "-shards"},
 		{"non-dividing shards", `{"run_id": "x", "shards": "3x5", "experiments": [{"name": "fig5"}]}`, "does not divide"},
 		{"negative repeats", `{"run_id": "x", "repeats": -1, "experiments": [{"name": "fig5"}]}`, "repeats"},
+		// Each numeric axis accepts only the range its model simulates
+		// as labelled, and the error names experiment, axis and value.
+		{"NaN bandwidth", `{"run_id": "x", "experiments": [{"name": "reorder", "axes": {"bw": ["NaN"]}}]}`, `experiment reorder, axis bw: value "NaN"`},
+		{"infinite bandwidth", `{"run_id": "x", "experiments": [{"name": "reorder", "axes": {"bw": ["+Inf"]}}]}`, `experiment reorder, axis bw: value "+Inf"`},
+		{"zero bandwidth", `{"run_id": "x", "experiments": [{"name": "reorder", "axes": {"bw": [0]}}]}`, `experiment reorder, axis bw: value "0"`},
+		{"negative bandwidth", `{"run_id": "x", "experiments": [{"name": "reorder", "axes": {"bw": [-0.4]}}]}`, `experiment reorder, axis bw: value "-0.4"`},
+		{"negative buffer size", `{"run_id": "x", "experiments": [{"name": "buffers", "axes": {"bufsize": [-1]}}]}`, `experiment buffers, axis bufsize: value "-1"`},
+		{"zero slow-start limit", `{"run_id": "x", "experiments": [{"name": "slowstart", "axes": {"limit": [0]}}]}`, `experiment slowstart, axis limit: value "0"`},
+		{"negative slow-start limit", `{"run_id": "x", "experiments": [{"name": "slowstart", "axes": {"limit": [-1]}}]}`, `experiment slowstart, axis limit: value "-1"`},
+		{"negative re-enable window", `{"run_id": "x", "experiments": [{"name": "reenable", "axes": {"window": [-5]}}]}`, `experiment reenable, axis window: value "-5"`},
+		{"zero checkpoint interval", `{"run_id": "x", "experiments": [{"name": "checkpoint", "axes": {"interval": [0]}}]}`, `experiment checkpoint, axis interval: value "0"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -306,6 +317,13 @@ func TestBuildPlanValidation(t *testing.T) {
 			}
 		})
 	}
+	// The smallest value of each range still builds.
+	buildPlan(t, `{"run_id": "x", "experiments": [
+  {"name": "reorder", "axes": {"bw": [1e-9]}},
+  {"name": "buffers", "axes": {"bufsize": [0]}},
+  {"name": "slowstart", "axes": {"limit": [1]}},
+  {"name": "reenable", "axes": {"window": [0]}},
+  {"name": "checkpoint", "axes": {"interval": [1]}}]}`)
 	if _, err := campaign.ParseSpec([]byte(`{"run_id": "x", "experimnets": []}`)); err == nil {
 		t.Fatal("typoed spec key accepted")
 	}
@@ -316,21 +334,19 @@ func TestBuildPlanValidation(t *testing.T) {
 
 // TestZeroIntervalPointReportsError: a design point whose directory
 // machine has no checkpoint interval used to re-checkpoint at cycle 0
-// forever and hang the campaign; it now ends with a descriptive
-// per-point error in the CSV's error column.
+// forever and hang the campaign. The checkpoint experiment's interval
+// axis now starts at 1, so the campaign refuses the point when it
+// plans, before anything simulates or any run directory exists.
+// (system.Build still rejects a zero interval for callers that bypass
+// the axis.)
 func TestZeroIntervalPointReportsError(t *testing.T) {
-	plan := buildPlan(t, `{"run_id": "t0", "quick": true, "repeats": 1, "parallel": 1,
-  "experiments": [{ "name": "checkpoint", "axes": { "interval": [0] } }]}`)
-	rep, err := campaign.Execute(plan, campaign.Options{Root: t.TempDir()})
+	spec, err := campaign.ParseSpec([]byte(`{"run_id": "t0", "quick": true, "repeats": 1, "parallel": 1,
+  "experiments": [{ "name": "checkpoint", "axes": { "interval": [0] } }]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	csv, err := os.ReadFile(filepath.Join(rep.Dir, "checkpoint.csv"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(csv), "CheckpointInterval must be positive") {
-		t.Fatalf("zero-interval point did not report the config error:\n%s", csv)
+	if _, err := campaign.BuildPlan(spec); err == nil || !strings.Contains(err.Error(), `axis interval: value "0" is below the minimum 1`) {
+		t.Fatalf("zero-interval point planned: %v", err)
 	}
 }
 

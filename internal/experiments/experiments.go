@@ -967,7 +967,7 @@ func (slowstartExp) Title(p Params) string {
 func (slowstartExp) Axes() []Axis {
 	return []Axis{
 		workloadAxis("oltp"),
-		{Name: "limit", Kind: AxisInt, List: true,
+		{Name: "limit", Kind: AxisInt, List: true, Min: 1,
 			Default: intStrings(SlowStartLimits),
 			Help:    "slow-start outstanding-transaction limits"},
 	}
@@ -1125,7 +1125,7 @@ func (checkpointExp) Title(Params) string {
 func (checkpointExp) Axes() []Axis {
 	return []Axis{
 		workloadAxis("uniform"),
-		{Name: "interval", Kind: AxisTime, List: true,
+		{Name: "interval", Kind: AxisTime, List: true, Min: 1,
 			Default: timeStrings(CheckpointIntervals),
 			Help:    "checkpoint intervals in cycles"},
 	}

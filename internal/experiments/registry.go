@@ -18,6 +18,7 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -31,11 +32,14 @@ import (
 type AxisKind int
 
 const (
-	// AxisInt values are decimal integers (buffer sizes, limits).
+	// AxisInt values are decimal integers (buffer sizes, limits), at
+	// least the axis's Min.
 	AxisInt AxisKind = iota
-	// AxisTime values are simulated-cycle counts (sim.Time).
+	// AxisTime values are simulated-cycle counts (sim.Time), at least
+	// the axis's Min.
 	AxisTime
-	// AxisFloat values are decimal floats (link bandwidths).
+	// AxisFloat values are finite, positive decimal floats (link
+	// bandwidths).
 	AxisFloat
 	// AxisWorkload values are registered workload names or
 	// "trace:<path>" replays (workload.Resolve).
@@ -67,6 +71,9 @@ type Axis struct {
 	// List permits multiple values (a sweep dimension); single-valued
 	// axes demand exactly one.
 	List bool
+	// Min is the smallest value an AxisInt or AxisTime axis accepts:
+	// the range its model can simulate as labelled.
+	Min int
 	// Default is the declared default value set; DefaultOf computes it
 	// from the run parameters instead (e.g. re-enable windows scaled by
 	// the checkpoint interval). At most one of the two is set.
@@ -242,17 +249,26 @@ func parseAxisValue(a Axis, v string) (canon string, prof workload.Profile, err 
 		if err != nil {
 			return "", prof, fmt.Errorf("value %q is not an integer", v)
 		}
+		if n < a.Min {
+			return "", prof, fmt.Errorf("value %q is below the minimum %d", v, a.Min)
+		}
 		return strconv.Itoa(n), prof, nil
 	case AxisTime:
 		n, err := strconv.ParseUint(v, 10, 63)
 		if err != nil {
 			return "", prof, fmt.Errorf("value %q is not a cycle count (non-negative integer)", v)
 		}
+		if n < uint64(a.Min) {
+			return "", prof, fmt.Errorf("value %q is below the minimum %d cycles", v, a.Min)
+		}
 		return strconv.FormatUint(n, 10), prof, nil
 	case AxisFloat:
 		f, err := strconv.ParseFloat(v, 64)
 		if err != nil {
 			return "", prof, fmt.Errorf("value %q is not a number", v)
+		}
+		if math.IsNaN(f) || math.IsInf(f, 0) || f <= 0 {
+			return "", prof, fmt.Errorf("value %q is not a finite positive number", v)
 		}
 		return strconv.FormatFloat(f, 'g', -1, 64), prof, nil
 	case AxisWorkload:

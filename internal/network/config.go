@@ -111,8 +111,10 @@ type Config struct {
 // NumNodes returns Width*Height.
 func (c Config) NumNodes() int { return c.Width * c.Height }
 
-// classes returns the number of distinct buffer classes per port.
-func (c Config) classes() int {
+// classes returns the number of distinct buffer classes per port. It
+// and classOf and serLatency take a pointer: the switch hot path calls
+// them per message, and a value receiver would copy the whole Config.
+func (c *Config) classes() int {
 	if !c.SeparateVNetBuffers {
 		return 1
 	}
@@ -129,7 +131,7 @@ func (c Config) classes() int {
 
 // classOf maps a message's virtual network and virtual channel to its
 // buffer class under this configuration.
-func (c Config) classOf(vnet, vc int) int {
+func (c *Config) classOf(vnet, vc int) int {
 	if !c.SeparateVNetBuffers {
 		return 0
 	}
@@ -148,8 +150,8 @@ func (c Config) Validate() error {
 	switch {
 	case c.Width < 2 || c.Height < 2:
 		return errConfig("torus dimensions must be at least 2x2")
-	case c.LinkBandwidth <= 0:
-		return errConfig("LinkBandwidth must be positive")
+	case math.IsNaN(c.LinkBandwidth) || math.IsInf(c.LinkBandwidth, 0) || c.LinkBandwidth <= 0:
+		return errConfig("LinkBandwidth must be positive and finite")
 	case c.VNets < 1:
 		return errConfig("VNets must be at least 1")
 	case c.BufferSize < 0 || c.EndpointBufferSize < 0:
@@ -164,7 +166,7 @@ func (c Config) Validate() error {
 
 // serLatency is the serialization latency of a size-byte message on
 // one link (at least one cycle).
-func (c Config) serLatency(size int) sim.Time {
+func (c *Config) serLatency(size int) sim.Time {
 	cyc := math.Ceil(float64(size) / c.LinkBandwidth)
 	if cyc < 1 {
 		cyc = 1

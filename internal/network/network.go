@@ -20,7 +20,7 @@ import (
 type Network struct {
 	k   *sim.Kernel // shard 0's kernel (the only kernel in serial mode)
 	cfg Config
-	t   topo
+	rt  routes
 
 	// grp and shardOf describe the conservative-window sharding of the
 	// torus (NewOnShards): each node's switch and endpoint live on the
@@ -234,6 +234,11 @@ type swch struct {
 	k     *sim.Kernel // the owning shard's kernel
 	st    *NetStats   // the owning shard's stats
 	shard int
+	// nb[dir] is the switch the link in dir leads to (North..West).
+	nb [numPorts]*swch
+	// dateline has bit dir set when the link in dir wraps the torus edge
+	// and so crosses its dimension's dateline (see topo.staticNext).
+	dateline uint8
 	// in[port][class] are input buffers. The Local port is the
 	// injection queue (unbounded: protocol-level MSHRs throttle it).
 	in [numPorts][]fifo
@@ -336,7 +341,8 @@ func build(cfg Config, g *sim.Shards, shardOf []int, k0 *sim.Kernel) (*Network, 
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	n := &Network{k: k0, cfg: cfg, t: topo{cfg.Width, cfg.Height}, grp: g, shardOf: shardOf}
+	t := topo{cfg.Width, cfg.Height}
+	n := &Network{k: k0, cfg: cfg, rt: newRoutes(t), grp: g, shardOf: shardOf}
 	nodes := cfg.NumNodes()
 	classes := cfg.classes()
 
@@ -380,6 +386,14 @@ func build(cfg Config, g *sim.Shards, shardOf []int, k0 *sim.Kernel) (*Network, 
 		n.sw[i] = s
 		n.ep[i] = &endpoint{n: n, node: NodeID(i), k: nk, st: &n.sts[shard], shard: shard,
 			ingress: make([]fifo, classes)}
+	}
+	for i, s := range n.sw {
+		for d := North; d <= West; d++ {
+			s.nb[d] = n.sw[t.neighbor(NodeID(i), d)]
+			if t.crossesDatelineDir(NodeID(i), d) {
+				s.dateline |= 1 << d
+			}
+		}
 	}
 
 	n.seqNext = make([]uint64, nodes*nodes*cfg.VNets)
@@ -748,11 +762,11 @@ func (s *swch) pickOutput(m *Message) (dir int, ok bool, busyUntil sim.Time) {
 	adaptive := (n.cfg.Routing == Adaptive || n.cfg.Routing == Deflection) && !n.adaptiveDisabled
 
 	if !adaptive {
-		d, crosses := n.t.staticNext(s.node, m.Dst)
+		d := n.rt.staticNext(s.node, m.Dst)
 		if d == Local {
 			return 0, false, 0 // shouldn't happen: Dst==node handled earlier
 		}
-		vc := s.nextVC(m, d, crosses)
+		vc := s.nextVC(m, d, s.crosses(d))
 		cls := n.cfg.classOf(m.VNet, vc)
 		if !s.hasCredit(d, cls) {
 			return 0, false, 0
@@ -768,12 +782,12 @@ func (s *swch) pickOutput(m *Message) (dir int, ok bool, busyUntil sim.Time) {
 	// link with the least-occupied downstream input, deterministic
 	// tie-break by candidate order.
 	var dirBuf [4]int
-	cands := n.t.productiveInto(s.node, m.Dst, &dirBuf)
+	cands := n.rt.productiveInto(s.node, m.Dst, &dirBuf)
 	best := -1
 	bestOcc := 1 << 30
 	minBusy := sim.Forever
 	for _, d := range cands {
-		vc := s.nextVC(m, d, n.t.crossesDatelineDir(s.node, d))
+		vc := s.nextVC(m, d, s.crosses(d))
 		cls := n.cfg.classOf(m.VNet, vc)
 		if !s.hasCredit(d, cls) {
 			continue
@@ -797,7 +811,7 @@ func (s *swch) pickOutput(m *Message) (dir int, ok bool, busyUntil sim.Time) {
 		// moving; livelock, if it arises, trips the transaction
 		// timeout (paper footnote 3).
 		for d := North; d <= West; d++ {
-			vc := s.nextVC(m, d, n.t.crossesDatelineDir(s.node, d))
+			vc := s.nextVC(m, d, s.crosses(d))
 			if !s.hasCredit(d, n.cfg.classOf(m.VNet, vc)) {
 				continue
 			}
@@ -823,7 +837,7 @@ func (s *swch) pickOutput(m *Message) (dir int, ok bool, busyUntil sim.Time) {
 		}
 		return 0, false, 0
 	}
-	m.vc = s.nextVC(m, best, n.t.crossesDatelineDir(s.node, best))
+	m.vc = s.nextVC(m, best, s.crosses(best))
 	return best, true, 0
 }
 
@@ -835,12 +849,15 @@ func (s *swch) pickOutput(m *Message) (dir int, ok bool, busyUntil sim.Time) {
 // must be identical at every shard count, so the snapshot is used for
 // same-shard neighbors too).
 func (s *swch) downstreamOccupancy(dir int) int {
-	nb := s.n.sw[s.n.t.neighbor(s.node, dir)]
+	nb := s.nb[dir]
 	if s.n.grp != nil {
 		return nb.pubOcc[opposite(dir)]
 	}
 	return nb.inCount[opposite(dir)]
 }
+
+// crosses reports whether the link in dir crosses the dateline.
+func (s *swch) crosses(dir int) bool { return s.dateline&(1<<dir) != 0 }
 
 // nextVC computes the virtual channel for the next hop: reset on
 // dimension change, escalate to VC1 after crossing the dateline.
@@ -872,8 +889,7 @@ func dimensionOfHop(m *Message) int { return m.dimHint }
 
 func (s *swch) hasCredit(dir, class int) bool {
 	if s.n.sharedPool() {
-		nb := s.n.sw[s.n.t.neighbor(s.node, dir)]
-		return nb.poolUsed < s.n.cfg.BufferSize
+		return s.nb[dir].poolUsed < s.n.cfg.BufferSize
 	}
 	c := s.credits[dir][class]
 	return c == -1 || c > 0
@@ -883,8 +899,9 @@ func (s *swch) forward(m *Message, dir int) {
 	n := s.n
 	now := s.k.Now()
 	cls := n.cfg.classOf(m.VNet, m.vc)
+	nb := s.nb[dir]
 	if n.sharedPool() {
-		n.sw[n.t.neighbor(s.node, dir)].poolUsed++
+		nb.poolUsed++
 	} else if s.credits[dir][cls] > 0 {
 		s.credits[dir][cls]--
 	}
@@ -895,7 +912,6 @@ func (s *swch) forward(m *Message, dir int) {
 	m.dimHint = dimension(dir)
 	n.trace(TraceForward, s.node, dir, m)
 
-	dst := n.t.neighbor(s.node, dir)
 	inPort := opposite(dir)
 	if n.grp != nil {
 		// Every switch-to-switch arrival — same-shard links included —
@@ -907,11 +923,11 @@ func (s *swch) forward(m *Message, dir int) {
 		// at least the window (ser >= the minimum-size serialization
 		// the window was derived from), so the arrival always lands at
 		// or beyond the next edge.
-		n.grp.Post(s.shard, n.sw[dst].shard, now+ser+n.cfg.PropDelay,
-			n.sw[dst], swOpArrive, n.epoch<<8|uint64(inPort), m)
+		n.grp.Post(s.shard, nb.shard, now+ser+n.cfg.PropDelay,
+			nb, swOpArrive, n.epoch<<8|uint64(inPort), m)
 		return
 	}
-	s.k.AfterEvent(ser+n.cfg.PropDelay, n.sw[dst], swOpArrive,
+	s.k.AfterEvent(ser+n.cfg.PropDelay, nb, swOpArrive,
 		n.epoch<<8|uint64(inPort), m)
 }
 
@@ -935,11 +951,11 @@ func (s *swch) returnCredit(port, class int) {
 		// A pool slot freed: any neighbor could have been waiting.
 		s.poolUsed--
 		for d := North; d <= West; d++ {
-			n.sw[n.t.neighbor(s.node, d)].scheduleArb()
+			s.nb[d].scheduleArb()
 		}
 		return
 	}
-	up := n.sw[n.t.neighbor(s.node, port)]
+	up := s.nb[port]
 	d := opposite(port)
 	if up.credits[d][class] >= 0 {
 		up.credits[d][class]++

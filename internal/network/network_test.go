@@ -1,6 +1,8 @@
 package network
 
 import (
+	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -377,10 +379,49 @@ func TestStaticNextReachesDestination(t *testing.T) {
 	}
 }
 
+// TestRoutingTablesMatchTopology: on square, non-square, odd and
+// minimal tori, the tables Build precomputes route exactly as topo's
+// arithmetic does. For every (cur, dst) they give the same productive
+// directions in the same order, the same static next hop and the same
+// dateline flag; every switch's neighbour links lead where
+// topo.neighbor says.
+func TestRoutingTablesMatchTopology(t *testing.T) {
+	for _, sz := range [][2]int{{2, 2}, {2, 3}, {3, 5}, {4, 4}, {5, 4}, {16, 16}, {32, 32}} {
+		tp := topo{sz[0], sz[1]}
+		n := New(sim.NewKernel(), Config{Width: tp.w, Height: tp.h, LinkBandwidth: 1, VNets: 1})
+		for cur := NodeID(0); int(cur) < tp.nodes(); cur++ {
+			s := n.sw[cur]
+			for d := North; d <= West; d++ {
+				if want := n.sw[tp.neighbor(cur, d)]; s.nb[d] != want {
+					t.Fatalf("%dx%d: switch %d nb[%s] is switch %d, want %d", tp.w, tp.h, cur, PortName(d), s.nb[d].node, want.node)
+				}
+				if got, want := s.crosses(d), tp.crossesDatelineDir(cur, d); got != want {
+					t.Fatalf("%dx%d: switch %d %s dateline %v, want %v", tp.w, tp.h, cur, PortName(d), got, want)
+				}
+			}
+			for dst := NodeID(0); int(dst) < tp.nodes(); dst++ {
+				var wantBuf, gotBuf [4]int
+				want, got := tp.productiveInto(cur, dst, &wantBuf), n.rt.productiveInto(cur, dst, &gotBuf)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%dx%d: productive %d->%d = %v, want %v", tp.w, tp.h, cur, dst, got, want)
+				}
+				wantDir, wantCross := tp.staticNext(cur, dst)
+				gotDir := n.rt.staticNext(cur, dst)
+				if gotDir != wantDir || (gotDir != Local && s.crosses(gotDir) != wantCross) {
+					t.Fatalf("%dx%d: static %d->%d = %s (dateline %v), want %s (dateline %v)", tp.w, tp.h, cur, dst,
+						PortName(gotDir), gotDir != Local && s.crosses(gotDir), PortName(wantDir), wantCross)
+				}
+			}
+		}
+	}
+}
+
 func TestConfigValidation(t *testing.T) {
 	bad := []Config{
 		{Width: 1, Height: 4, LinkBandwidth: 1, VNets: 4},
 		{Width: 4, Height: 4, LinkBandwidth: 0, VNets: 4},
+		{Width: 4, Height: 4, LinkBandwidth: math.NaN(), VNets: 4},
+		{Width: 4, Height: 4, LinkBandwidth: math.Inf(1), VNets: 4},
 		{Width: 4, Height: 4, LinkBandwidth: 1, VNets: 0},
 	}
 	for i, c := range bad {

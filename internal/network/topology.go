@@ -25,6 +25,10 @@ func PortName(p int) string {
 	return "?"
 }
 
+// topo is the torus's coordinate arithmetic. Build uses it to generate
+// the routing tables (routes, each switch's neighbours and dateline
+// links), and tests use it as their oracle; routing itself reads the
+// tables, so no hop divides.
 type topo struct {
 	w, h int
 }
@@ -171,4 +175,87 @@ func (t topo) crossesDatelineDir(cur NodeID, dir int) bool {
 		return y == 0
 	}
 	return false
+}
+
+// coord is a node's (x, y) position on the torus.
+type coord struct{ x, y int }
+
+// ringSteps lists the directions that shorten a route along one ring
+// for one offset, in candidate order: both on a tie, East or South
+// first.
+type ringSteps struct {
+	n    int
+	dirs [2]int
+}
+
+// routes is topo's routing arithmetic as tables, built once at O(nodes
+// + width + height): each node's coordinates, and for each forward
+// offset along the X and Y rings, that ring's productive directions.
+type routes struct {
+	w, h   int
+	xy     []coord
+	xSteps []ringSteps // indexed by (dst.x - cur.x) mod w
+	ySteps []ringSteps // indexed by (dst.y - cur.y) mod h
+}
+
+func newRoutes(t topo) routes {
+	r := routes{w: t.w, h: t.h, xy: make([]coord, t.nodes()),
+		xSteps: make([]ringSteps, t.w), ySteps: make([]ringSteps, t.h)}
+	for i := range r.xy {
+		x, y := t.xy(NodeID(i))
+		r.xy[i] = coord{x, y}
+	}
+	// From node 0, a destination at (off, 0) differs in X alone and one
+	// at (0, off) in Y alone, so topo lists exactly that ring's steps.
+	var buf [4]int
+	for off := range r.xSteps {
+		r.xSteps[off].n = copy(r.xSteps[off].dirs[:], t.productiveInto(0, t.node(off, 0), &buf))
+	}
+	for off := range r.ySteps {
+		r.ySteps[off].n = copy(r.ySteps[off].dirs[:], t.productiveInto(0, t.node(0, off), &buf))
+	}
+	return r
+}
+
+// ringOffset maps a coordinate difference in (-n, n) to its forward
+// offset in [0, n) without dividing.
+func ringOffset(d, n int) int {
+	if d < 0 {
+		d += n
+	}
+	return d
+}
+
+// steps returns the X and Y ring steps from cur towards dst.
+func (r *routes) steps(cur, dst NodeID) (x, y *ringSteps) {
+	c, d := r.xy[cur], r.xy[dst]
+	return &r.xSteps[ringOffset(d.x-c.x, r.w)], &r.ySteps[ringOffset(d.y-c.y, r.h)]
+}
+
+// productiveInto returns every direction that reduces the minimal
+// distance from cur to dst, in topo.productiveInto's order: it fills
+// buf and returns the occupied prefix.
+func (r *routes) productiveInto(cur, dst NodeID, buf *[4]int) []int {
+	xs, ys := r.steps(cur, dst)
+	// Copying both slots of each ring needs no branch: xs.n <= 2, so
+	// the Y pair still fits.
+	buf[0], buf[1] = xs.dirs[0], xs.dirs[1]
+	n := xs.n
+	buf[n], buf[n+1] = ys.dirs[0], ys.dirs[1]
+	return buf[:n+ys.n]
+}
+
+// staticNext returns the dimension-order (X then Y) next hop from cur
+// to dst, which is the first productive direction: topo.staticNext
+// breaks ties towards East and South exactly as the ring steps list
+// them. It returns Local at the destination.
+func (r *routes) staticNext(cur, dst NodeID) int {
+	xs, ys := r.steps(cur, dst)
+	switch {
+	case xs.n > 0:
+		return xs.dirs[0]
+	case ys.n > 0:
+		return ys.dirs[0]
+	}
+	return Local
 }

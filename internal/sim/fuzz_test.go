@@ -11,7 +11,8 @@ import (
 // fuzzer-chosen shapes: same-instant ties, wheel-horizon straddles
 // (deltas around 4096), far-heap migration, chunked bounded runs that
 // stop short of pending events, and a byte-driven mix of closure and
-// typed-handler events. (The kernel has no cancel primitive by design
+// typed-handler events whose a0, a1 and p are all checked when they
+// fire. (The kernel has no cancel primitive by design
 // — recovery drops stale work via epoch checks in the protocol
 // handlers — so cancellation is fuzzed at that layer's tests, not
 // here.)
@@ -42,7 +43,13 @@ func FuzzKernelSchedule(f *testing.F) {
 			// (4096) and the far heap.
 			deltas := []Time{0, 0, 1, 2, 5, 16, 100, 999, 4095, 4096, 4097, 20_000}
 			var id uint64
-			h := &handlerAdapter{fn: func(a0 uint64) { log = append(log, a0) }}
+			type payload struct{ id uint64 }
+			h := &handlerAdapter{fn: func(a0, a1 uint64, p any) {
+				if pl, ok := p.(*payload); a1 != a0*0x9e3779b97f4a7c15 || !ok || pl.id != a0 {
+					t.Fatalf("typed event %d fired with a1=%#x, p=%v", a0, a1, p)
+				}
+				log = append(log, a0)
+			}}
 			var schedule func(depth int)
 			schedule = func(depth int) {
 				id++
@@ -56,7 +63,7 @@ func FuzzKernelSchedule(f *testing.F) {
 					// consumed the same byte, so both schedule the
 					// same instant with the same behavior.
 					if k, ok := r.s.(*Kernel); ok {
-						k.AtEvent(when, h, myID, 0, nil)
+						k.AtEvent(when, h, myID, myID*0x9e3779b97f4a7c15, &payload{myID})
 						return
 					}
 				}

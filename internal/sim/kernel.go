@@ -21,7 +21,13 @@
 // Two event forms are supported: closures (At/After) for cold paths, and
 // typed handler events (AtEvent/AfterEvent) that carry two integers and a
 // pointer to a pre-allocated Handler, so hot paths (switch arbitration,
-// message arrival, protocol sends) schedule without allocating.
+// message arrival, protocol sends) schedule without allocating. A closure
+// travels as a funcHandler, so both forms share one event layout.
+//
+// Scheduling writes an event's fields straight into a fresh slot of its
+// wheel bucket, and dispatch fires through a pointer to that slot: a
+// near event is never assembled on the stack and copied. Only events
+// beyond the wheel horizon are copied, into the far heap.
 package sim
 
 import (
@@ -43,22 +49,18 @@ type Handler interface {
 	HandleEvent(a0, a1 uint64, p any)
 }
 
-// event is one scheduled unit of work: either a closure (fn) or a typed
-// handler invocation. Events are stored by value in wheel buckets and
-// the far heap; no per-event allocation occurs.
+// funcHandler adapts a closure to Handler. A func value is one pointer,
+// so storing it in the Handler interface does not allocate.
+type funcHandler func()
+
+func (f funcHandler) HandleEvent(uint64, uint64, any) { f() }
+
+// event is one scheduled handler invocation. Wheel buckets hold events
+// in place; the far heap holds them by value. No event allocates.
 type event struct {
-	fn     func()
 	h      Handler
 	a0, a1 uint64
 	p      any
-}
-
-func (ev *event) fire() {
-	if ev.fn != nil {
-		ev.fn()
-		return
-	}
-	ev.h.HandleEvent(ev.a0, ev.a1, ev.p)
 }
 
 const (
@@ -112,46 +114,50 @@ func (k *Kernel) Pending() int { return k.wheelCount + len(k.far) }
 
 // At schedules fn to run at absolute time t. Scheduling in the past is a
 // programming error and panics: it would silently corrupt causality.
-func (k *Kernel) At(t Time, fn func()) {
-	k.schedule(t, event{fn: fn})
-}
+func (k *Kernel) At(t Time, fn func()) { k.AtEvent(t, funcHandler(fn), 0, 0, nil) }
 
 // After schedules fn to run d cycles from now.
-func (k *Kernel) After(d Time, fn func()) { k.schedule(k.now+d, event{fn: fn}) }
+func (k *Kernel) After(d Time, fn func()) { k.AtEvent(k.now+d, funcHandler(fn), 0, 0, nil) }
 
 // AtEvent schedules a typed event at absolute time t: h.HandleEvent(a0,
 // a1, p) fires at t. Unlike At, it allocates nothing.
 func (k *Kernel) AtEvent(t Time, h Handler, a0, a1 uint64, p any) {
-	k.schedule(t, event{h: h, a0: a0, a1: a1, p: p})
+	if t < k.now {
+		panic(fmt.Sprintf("sim: schedule at %d before now %d", t, k.now))
+	}
+	if t-k.now >= wheelSize {
+		k.farPush(farEvent{when: t, seq: k.farSeq, ev: event{h: h, a0: a0, a1: a1, p: p}})
+		k.farSeq++
+		return
+	}
+	ev := k.wheelSlot(t)
+	ev.h, ev.a0, ev.a1, ev.p = h, a0, a1, p
 }
 
 // AfterEvent schedules a typed event d cycles from now.
 func (k *Kernel) AfterEvent(d Time, h Handler, a0, a1 uint64, p any) {
-	k.schedule(k.now+d, event{h: h, a0: a0, a1: a1, p: p})
+	k.AtEvent(k.now+d, h, a0, a1, p)
 }
 
-func (k *Kernel) schedule(t Time, ev event) {
-	if t < k.now {
-		panic(fmt.Sprintf("sim: schedule at %d before now %d", t, k.now))
-	}
-	if t-k.now < wheelSize {
-		k.wheelPut(t, ev)
-		return
-	}
-	k.farPush(farEvent{when: t, seq: k.farSeq, ev: ev})
-	k.farSeq++
-}
-
-// wheelPut appends ev to the bucket for time t (which must be within
-// the horizon), maintaining the occupancy bitmap.
-func (k *Kernel) wheelPut(t Time, ev event) {
+// wheelSlot appends an empty slot to the bucket for time t (which must
+// be within the horizon), maintaining the occupancy bitmap, and returns
+// it for the caller to fill in place. Recycled bucket storage is
+// cleared, so extending within capacity yields a zero slot.
+func (k *Kernel) wheelSlot(t Time) *event {
 	if k.wheel == nil {
 		k.wheel = make([][]event, wheelSize)
 	}
 	i := t & wheelMask
-	k.wheel[i] = append(k.wheel[i], ev)
+	cell := k.wheel[i]
+	if n := len(cell); n < cap(cell) {
+		cell = cell[:n+1]
+	} else {
+		cell = append(cell, event{})
+	}
+	k.wheel[i] = cell
 	k.occ[i>>6] |= 1 << (i & 63)
 	k.wheelCount++
+	return &cell[len(cell)-1]
 }
 
 // recycleCell clears bucket i's storage and occupancy bit.
@@ -191,7 +197,7 @@ func (k *Kernel) migrate() {
 	horizon := k.now + wheelSize
 	for len(k.far) > 0 && k.far[0].when < horizon {
 		fe := k.farPop()
-		k.wheelPut(fe.when, fe.ev)
+		*k.wheelSlot(fe.when) = fe.ev
 	}
 }
 
@@ -273,14 +279,16 @@ func (k *Kernel) currentCell() *[]event {
 // dispatchOne fires the next event in the current bucket. The caller
 // must have established readiness via advance.
 func (k *Kernel) dispatchOne() {
-	cell := k.wheel[k.now&wheelMask]
-	ev := cell[k.cellPos]
+	ev := &k.wheel[k.now&wheelMask][k.cellPos]
 	// References are released in bulk when the bucket empties (advance
 	// clears it); per-slot zeroing here would double the memclr work.
 	k.cellPos++
 	k.wheelCount--
 	k.Executed++
-	ev.fire()
+	// The call reads the slot's fields before the handler runs, so a
+	// handler that schedules into this bucket — and so may reallocate
+	// it — cannot disturb its own arguments.
+	ev.h.HandleEvent(ev.a0, ev.a1, ev.p)
 }
 
 // Step fires the next event, advancing time to it. It reports whether an

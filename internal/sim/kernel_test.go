@@ -243,3 +243,20 @@ func BenchmarkKernelScheduleFire(b *testing.B) {
 		k.Step()
 	}
 }
+
+// BenchmarkKernelScheduleFireTyped is BenchmarkKernelScheduleFire on the
+// typed path the model's hot loops use, with every argument live.
+func BenchmarkKernelScheduleFireTyped(b *testing.B) {
+	k := NewKernel()
+	var sum uint64
+	h := &handlerAdapter{fn: func(a0, a1 uint64, _ any) { sum += a0 + a1 }}
+	payload := &struct{ x int }{}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		k.AfterEvent(Time(i%64), h, uint64(i)|1, 2, payload)
+		k.Step()
+	}
+	benchSink = sum
+}
+
+var benchSink uint64

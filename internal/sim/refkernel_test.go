@@ -75,9 +75,9 @@ type scheduler interface {
 // handlerAdapter lets the scenario exercise the typed-event path of the
 // production kernel while the reference kernel sees closures — both
 // must dispatch the underlying action in the same global order.
-type handlerAdapter struct{ fn func(a0 uint64) }
+type handlerAdapter struct{ fn func(a0, a1 uint64, p any) }
 
-func (h *handlerAdapter) HandleEvent(a0, _ uint64, _ any) { h.fn(a0) }
+func (h *handlerAdapter) HandleEvent(a0, a1 uint64, p any) { h.fn(a0, a1, p) }
 
 // recordScenario drives s through a fixed pseudo-random schedule and
 // returns the dispatch order (event ids) plus the final time. Event ids
@@ -221,7 +221,7 @@ func TestKernelBoundedRunMatchesReference(t *testing.T) {
 func TestKernelTypedEventOrdering(t *testing.T) {
 	k := NewKernel()
 	var got []uint64
-	h := &handlerAdapter{fn: func(a0 uint64) { got = append(got, a0) }}
+	h := &handlerAdapter{fn: func(a0, _ uint64, _ any) { got = append(got, a0) }}
 	// Same-instant mix, scheduled from id 1 upward.
 	k.AtEvent(10_000, h, 1, 0, nil) // beyond the wheel horizon: far heap
 	k.At(10_000, func() { got = append(got, 2) })
@@ -237,4 +237,81 @@ func TestKernelTypedEventOrdering(t *testing.T) {
 			t.Fatalf("order %v, want %v", got, want)
 		}
 	}
+}
+
+// slotPayload is the pointer argument of TestKernelBucketGrowthMidDispatch's
+// typed events.
+type slotPayload struct {
+	id    uint64
+	depth int
+}
+
+// TestKernelBucketGrowthMidDispatch: a typed handler that schedules more
+// same-instant events than its bucket can hold forces the bucket to
+// reallocate while the handler's own slot is being dispatched. Every
+// handler must still see its own a0, a1 and p, and closures interleaved
+// with typed events must fire in the reference scheduler's order.
+func TestKernelBucketGrowthMidDispatch(t *testing.T) {
+	const fan = 40 // same-instant children per event, beyond any bucket's first capacity
+	var grew int
+	run := func(s scheduler, k *Kernel) []uint64 {
+		var log []uint64
+		var id uint64
+		var schedule func(when Time, depth int)
+		spawn := func(depth int) {
+			if depth == 0 {
+				return
+			}
+			for i := 0; i < fan; i++ {
+				schedule(s.Now(), depth-1)
+			}
+			schedule(s.Now()+1, depth-1)
+		}
+		h := &handlerAdapter{fn: func(a0, a1 uint64, p any) {
+			pl := p.(*slotPayload)
+			cell := &k.wheel[k.now&wheelMask]
+			before := &(*cell)[0]
+			spawn(pl.depth)
+			if &(*cell)[0] != before {
+				grew++
+			}
+			if a1 != ^a0 || pl.id != a0 {
+				t.Errorf("typed event %d fired with a1=%#x, payload id %d", a0, a1, pl.id)
+			}
+			log = append(log, a0)
+		}}
+		schedule = func(when Time, depth int) {
+			id++
+			myID := id
+			if k != nil && myID%2 == 1 {
+				k.AtEvent(when, h, myID, ^myID, &slotPayload{id: myID, depth: depth})
+				return
+			}
+			s.At(when, func() {
+				spawn(depth)
+				log = append(log, myID)
+			})
+		}
+		schedule(5, 2)
+		schedule(5, 2)
+		for s.Step() {
+		}
+		return log
+	}
+
+	refLog := run(&refKernel{}, nil)
+	k := NewKernel()
+	newLog := run(k, k)
+	if grew == 0 {
+		t.Fatal("no handler saw its bucket reallocate: the scenario misses the case it pins")
+	}
+	if len(refLog) != len(newLog) {
+		t.Fatalf("dispatched %d events, reference dispatched %d", len(newLog), len(refLog))
+	}
+	for i := range refLog {
+		if refLog[i] != newLog[i] {
+			t.Fatalf("dispatch order diverges at %d: kernel=%d reference=%d", i, newLog[i], refLog[i])
+		}
+	}
+	t.Logf("%d events dispatched identically; %d typed handlers saw their bucket reallocate", len(newLog), grew)
 }

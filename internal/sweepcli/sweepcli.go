@@ -57,6 +57,9 @@ func Run(args []string, w io.Writer) error {
 	}
 	explicit := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
+	if err := checkModeFlags(explicit, *analyzeDir != "", *campaignPath != ""); err != nil {
+		return err
+	}
 
 	if *analyzeDir != "" {
 		rep, err := campaign.Analyze(*analyzeDir)
@@ -175,6 +178,26 @@ func Run(args []string, w io.Writer) error {
 			return fmt.Errorf("artifact write failed: %v", err)
 		}
 		fmt.Fprintf(os.Stderr, "sweep: artifacts written to %s\n", s.Dir())
+	}
+	return nil
+}
+
+// checkModeFlags rejects a flag the chosen mode would silently ignore:
+// -campaign reads only -run-id, -parallel and -campaign-abort-after
+// besides its spec, and -analyze reads nothing but its directory.
+func checkModeFlags(explicit map[string]bool, analyzeMode, campaignMode bool) error {
+	sweepOnly := []string{"exp", "workload", "quick", "shards", "out", "json"}
+	mode, unused := "a plain -exp sweep", []string{"campaign-abort-after"}
+	switch {
+	case analyzeMode:
+		mode, unused = "-analyze", append(sweepOnly, "campaign", "run-id", "parallel", "campaign-abort-after")
+	case campaignMode:
+		mode, unused = "-campaign", sweepOnly
+	}
+	for _, name := range unused {
+		if explicit[name] {
+			return fmt.Errorf("-%s cannot be used with %s, which would ignore it", name, mode)
+		}
 	}
 	return nil
 }

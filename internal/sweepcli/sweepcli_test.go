@@ -135,6 +135,45 @@ func TestUnknownExperimentError(t *testing.T) {
 	}
 }
 
+// TestModeRejectsIgnoredFlags: -campaign and -analyze reject every flag
+// they would ignore, and -campaign-abort-after needs -campaign. Each
+// error names the flag and comes before any spec, run directory or
+// experiment is read, so the missing paths and the bogus -exp below are
+// never reached.
+func TestModeRejectsIgnoredFlags(t *testing.T) {
+	campaign := []string{"-campaign", "missing-spec.json"}
+	analyze := []string{"-analyze", "missing-run-dir"}
+	cases := []struct {
+		args []string
+		flag string
+	}{
+		{append(campaign, "-out", "x"), "-out"},
+		{append(campaign, "-exp", "fig4"), "-exp"},
+		{append(campaign, "-workload", "oltp"), "-workload"},
+		{append(campaign, "-quick"), "-quick"},
+		{append(campaign, "-shards", "2"), "-shards"},
+		{append(campaign, "-json"), "-json"},
+		{append(analyze, "-out", "x"), "-out"},
+		{append(analyze, "-quick"), "-quick"},
+		{append(analyze, "-campaign", "spec.json"), "-campaign"},
+		{append(analyze, "-run-id", "x"), "-run-id"},
+		{append(analyze, "-parallel", "2"), "-parallel"},
+		{append(analyze, "-campaign-abort-after", "1"), "-campaign-abort-after"},
+		{[]string{"-exp", "bogus", "-campaign-abort-after", "2"}, "-campaign-abort-after"},
+	}
+	for _, c := range cases {
+		err := sweepcli.Run(c.args, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), c.flag+" cannot be used") {
+			t.Errorf("sweep %s: error %v, want one rejecting %s", strings.Join(c.args, " "), err, c.flag)
+		}
+	}
+	// The flags -campaign does read pass the check and reach the spec.
+	err := sweepcli.Run(append(campaign, "-run-id", "x", "-parallel", "1", "-campaign-abort-after", "1"), io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "missing-spec.json") {
+		t.Errorf("-campaign with -run-id, -parallel and -campaign-abort-after: error %v, want the missing spec", err)
+	}
+}
+
 // TestCampaignCLIResume drives the CLI surface of the campaign engine:
 // -campaign with the abort hook exits with a resumable error, a second
 // invocation converges, and -analyze runs over the finished tree.
