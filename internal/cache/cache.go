@@ -8,8 +8,9 @@
 // Frames are allocated lazily: a set has no frames until its first
 // Victim call, and a set without frames behaves exactly like one whose
 // ways are all invalid. A run touches a small fraction of the paper's
-// 4 MB L2, so Build pays for a 4-byte slot per set instead of zeroing
-// every frame up front.
+// 4 MB L2, so it pays for a 2-byte slot per set instead of zeroing every
+// frame up front, and Build pays for neither: a cache gets its slot
+// table with its first fill.
 package cache
 
 import (
@@ -39,25 +40,53 @@ const (
 type Cache struct {
 	// slots holds one entry per set: 0 if the set was never filled,
 	// else 1 + the set's position in fill order, which locates its
-	// frames in chunks.
-	slots    []uint32
+	// frames in chunks. maxSets keeps that within 16 bits. Until the
+	// first fill it is a slice of unfilled.
+	slots    []uint16
 	chunks   [][]Line
-	filled   uint32
+	filled   uint16
 	ways     int
 	useClock uint64
 }
 
-// New builds a cache of sizeBytes capacity with the given associativity
-// and 64-byte blocks. sizeBytes must yield a power-of-two set count.
-func New(sizeBytes, ways int) *Cache {
+// maxSets is the largest set count a cache may have, so that a set's
+// slot (1 + its fill position) fits in 16 bits: an 8 MB cache at 4
+// ways. The paper's 4 MB L2 has 16,384 sets.
+const maxSets = 1 << 15
+
+// Geometry returns the set count of a cache of sizeBytes capacity with
+// the given associativity and 64-byte blocks. It is an error unless
+// both are positive and the set count is a power of two of at most
+// 32,768.
+func Geometry(sizeBytes, ways int) (int, error) {
 	if sizeBytes <= 0 || ways <= 0 {
-		panic("cache: size and ways must be positive")
+		return 0, fmt.Errorf("cache: %d bytes and %d ways must both be positive", sizeBytes, ways)
 	}
 	numSets := sizeBytes / (ways * coherence.BlockBytes)
 	if numSets == 0 || numSets&(numSets-1) != 0 {
-		panic(fmt.Sprintf("cache: %d bytes / %d ways yields non-power-of-two set count %d", sizeBytes, ways, numSets))
+		return 0, fmt.Errorf("cache: %d bytes / %d ways yields non-power-of-two set count %d", sizeBytes, ways, numSets)
 	}
-	return &Cache{slots: make([]uint32, numSets), ways: ways}
+	if numSets > maxSets {
+		return 0, fmt.Errorf("cache: %d bytes / %d ways yields %d sets, more than the %d a cache may have", sizeBytes, ways, numSets, maxSets)
+	}
+	return numSets, nil
+}
+
+// unfilled is the slot table every cache reads until its first fill:
+// all zeros, shared, and never written. Build therefore zeroes no slot
+// tables; a machine's 16 L2 tables are 0.5 MB, and zeroing them in
+// Build made its time depend on whether the heap's free pages had been
+// returned to the OS (DESIGN.md, "Performance notes").
+var unfilled [maxSets]uint16
+
+// New builds a cache of sizeBytes capacity with the given associativity
+// and 64-byte blocks. It panics unless Geometry accepts them.
+func New(sizeBytes, ways int) *Cache {
+	numSets, err := Geometry(sizeBytes, ways)
+	if err != nil {
+		panic(err)
+	}
+	return &Cache{slots: unfilled[:numSets:numSets], ways: ways}
 }
 
 // NumSets returns the set count.
@@ -85,6 +114,9 @@ func (c *Cache) frames(s int) []Line {
 // the last one is full. A cache smaller than one chunk gets a chunk of
 // its own size.
 func (c *Cache) fill(s int) []Line {
+	if c.filled == 0 {
+		c.slots = make([]uint16, len(c.slots)) // leave the shared unfilled table
+	}
 	if c.filled%chunkSets == 0 {
 		c.chunks = append(c.chunks, make([]Line, min(chunkSets, len(c.slots))*c.ways))
 	}

@@ -22,12 +22,65 @@ func TestNewGeometry(t *testing.T) {
 }
 
 func TestNewPanicsOnBadGeometry(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for non-power-of-two sets")
+	for _, g := range []struct{ bytes, ways int }{
+		{3 * 64, 1},         // 3 sets: not a power of two
+		{65536 * 64, 1},     // 65,536 sets: slots would overflow 16 bits
+		{0, 4}, {64 * 4, 0}, // non-positive size or ways
+	} {
+		if _, err := Geometry(g.bytes, g.ways); err == nil {
+			t.Errorf("Geometry(%d, %d) accepted", g.bytes, g.ways)
 		}
-	}()
-	New(3*64, 1)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New(%d, %d) did not panic", g.bytes, g.ways)
+				}
+			}()
+			New(g.bytes, g.ways)
+		}()
+	}
+}
+
+// TestFirstFillLeavesSharedTable: caches read the shared unfilled slot
+// table until their first fill, which must take a table of its own.
+func TestFirstFillLeavesSharedTable(t *testing.T) {
+	a, b := New(1024, 2), New(1024, 2)
+	a.Install(a.Victim(0x40, nil), 0x40, 1, 1)
+	if b.Peek(0x40) != nil || b.CountValid() != 0 {
+		t.Fatal("a fill in one cache is visible in another")
+	}
+	for s, v := range unfilled {
+		if v != 0 {
+			t.Fatalf("shared unfilled table written at set %d", s)
+		}
+	}
+}
+
+// TestLargestCacheFindsEveryLine: at the largest set count a 16-bit slot
+// can index, every set fills and every line is found again.
+func TestLargestCacheFindsEveryLine(t *testing.T) {
+	const ways = 2
+	c := New(maxSets*ways*coherence.BlockBytes, ways)
+	if c.NumSets() != maxSets {
+		t.Fatalf("%d sets, want %d", c.NumSets(), maxSets)
+	}
+	lines := maxSets * ways
+	addr := func(i int) coherence.Addr { return coherence.Addr(i * coherence.BlockBytes) }
+	for i := 0; i < lines; i++ {
+		f := c.Victim(addr(i), nil)
+		if f == nil || f.Valid {
+			t.Fatalf("line %d: no free frame", i)
+		}
+		c.Install(f, addr(i), 1, uint64(i))
+	}
+	for i := 0; i < lines; i++ {
+		if l := c.Peek(addr(i)); l == nil || l.Version != uint64(i) {
+			t.Fatalf("line %d not found intact: %+v", i, l)
+		}
+	}
+	if n := c.CountValid(); n != lines {
+		t.Fatalf("%d valid lines, want %d", n, lines)
+	}
 }
 
 func TestInstallLookupPeek(t *testing.T) {

@@ -91,7 +91,9 @@ type Manager struct {
 	epoch uint64
 	ckpts []checkpoint
 	logs  [][]entry
-	seen  []map[uint64]uint64 // key -> epoch of last log, per node
+	// seen[node] holds the keys node logged in the current epoch; an
+	// epoch advance or a recovery empties it.
+	seen []map[uint64]struct{}
 
 	recoveries  stats.Counter
 	checkpoints stats.Counter
@@ -133,9 +135,9 @@ func NewManager(k *sim.Kernel, cfg Config) *Manager {
 	}
 	m := &Manager{k: k, cfg: cfg}
 	m.logs = make([][]entry, cfg.Nodes)
-	m.seen = make([]map[uint64]uint64, cfg.Nodes)
+	m.seen = make([]map[uint64]struct{}, cfg.Nodes)
 	for i := range m.seen {
-		m.seen[i] = make(map[uint64]uint64)
+		m.seen[i] = make(map[uint64]struct{})
 	}
 	m.occupancyHW = make([]int, cfg.Nodes)
 	m.entriesLogged = make([]uint64, cfg.Nodes)
@@ -169,6 +171,7 @@ func (m *Manager) TakeCheckpoint(snapshot interface{}) uint64 {
 func (m *Manager) TakeCheckpointWindow(snapshot interface{}, window sim.Time) uint64 {
 	if len(m.ckpts) > 0 {
 		m.epoch++
+		m.clearSeen()
 	}
 	now := m.k.Now()
 	m.ckpts = append(m.ckpts, checkpoint{epoch: m.epoch, at: now, validAt: now + window, snapshot: snapshot})
@@ -220,10 +223,10 @@ func (m *Manager) LogOldValue(node int, key uint64, undo func()) {
 	if len(m.ckpts) == 0 {
 		panic("safetynet: LogOldValue before first TakeCheckpoint")
 	}
-	if e, ok := m.seen[node][key]; ok && e == m.epoch {
+	if _, ok := m.seen[node][key]; ok {
 		return
 	}
-	m.seen[node][key] = m.epoch
+	m.seen[node][key] = struct{}{}
 	m.logs[node] = append(m.logs[node], entry{epoch: m.epoch, undo: undo})
 	m.entriesLogged[node]++
 	n := len(m.logs[node])
@@ -291,12 +294,10 @@ func (m *Manager) Recover() (snapshot interface{}, lost sim.Time) {
 			log[i].undo()
 		}
 		m.logs[n] = log[:cut]
-		for k, e := range m.seen[n] {
-			if e >= c.epoch {
-				delete(m.seen[n], k)
-			}
-		}
 	}
+	// Every key logged since the target checkpoint was just undone, so
+	// the target epoch starts over with nothing logged.
+	m.clearSeen()
 	// Discard checkpoints newer than the target; execution resumes
 	// inside the target's epoch.
 	for len(m.ckpts) > 0 && m.ckpts[len(m.ckpts)-1].epoch > c.epoch {
@@ -305,6 +306,12 @@ func (m *Manager) Recover() (snapshot interface{}, lost sim.Time) {
 	m.epoch = c.epoch
 	m.recomputePressure()
 	return c.snapshot, lost
+}
+
+func (m *Manager) clearSeen() {
+	for _, s := range m.seen {
+		clear(s)
+	}
 }
 
 // recomputePressure rederives each node's pressure flag from its actual

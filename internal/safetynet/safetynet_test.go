@@ -75,22 +75,39 @@ func TestFirstWritePerEpochDeduplication(t *testing.T) {
 
 func TestRelogAfterRecovery(t *testing.T) {
 	// After a recovery, modifications in the resumed epoch must be
-	// logged again even though the key was logged before rollback.
-	k := sim.NewKernel()
-	m := mgr(k, 100)
-	x := &logged{m: m, node: 0, key: 5}
-	m.TakeCheckpoint("s0")
-	x.set(1)
-	k.Run(1000)
-	m.Recover() // back to s0; x==0
-	if x.v != 0 {
-		t.Fatalf("x=%d want 0", x.v)
-	}
-	x.set(2)
-	k.Run(2000)
-	m.Recover()
-	if x.v != 0 {
-		t.Fatalf("x=%d after second recovery, want 0 — undo after recovery was not re-logged", x.v)
+	// logged again even though the key was logged before rollback, so
+	// a second recovery restores the value from before the first write.
+	for _, tc := range []struct {
+		name       string
+		checkpoint bool // take a second checkpoint (and write in its epoch) before recovering
+	}{
+		{"same epoch", false},
+		{"across a checkpoint", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := sim.NewKernel()
+			m := mgr(k, 100)
+			x := &logged{m: m, node: 0, key: 5}
+			m.TakeCheckpoint("s0")
+			x.set(1)
+			if tc.checkpoint {
+				k.Run(100)
+				m.TakeCheckpoint("s1")
+				x.set(2)
+				k.Run(200) // s1 is not validated yet: recovery returns to s0
+			} else {
+				k.Run(1000)
+			}
+			if snap, _ := m.Recover(); snap != "s0" || x.v != 0 {
+				t.Fatalf("recovered to %v with x=%d, want s0 with x=0", snap, x.v)
+			}
+			x.set(3)
+			k.Run(2000)
+			m.Recover()
+			if x.v != 0 {
+				t.Fatalf("x=%d after second recovery, want 0 — the write after recovery was not re-logged", x.v)
+			}
+		})
 	}
 }
 

@@ -10,13 +10,22 @@
 // # Scheduler structure
 //
 // The kernel is a bucketed calendar queue: events within wheelSize cycles
-// of the current time live in a wheel of per-cycle buckets (append-order
-// dispatch gives FIFO tie-breaking for free), and far-future events live
-// in an overflow min-heap ordered by (when, seq) that migrates into the
-// wheel as time advances. Scheduling and dispatch are O(1) amortized —
-// the binary-heap log factor of the classic implementation is gone — and
-// bucket storage is recycled, so a steady-state simulation allocates no
-// scheduler memory at all.
+// of the current time live in a wheel of per-cycle buckets (FIFO lists,
+// so dispatch order within a cycle is schedule order), and far-future
+// events live in an overflow min-heap ordered by (when, seq) that
+// migrates into the wheel as time advances. Scheduling and dispatch are
+// O(1) amortized — the binary-heap log factor of the classic
+// implementation is gone.
+//
+// Pending wheel events are held in one slot arena per kernel, and a
+// bucket is only a head/tail pair of arena indices. A fired event's slot
+// goes on a LIFO free list, so the next schedule reuses it while it is
+// still in L1, and the arena grows only when the pending events outnumber
+// its slots: a steady-state simulation allocates no scheduler memory.
+// The arena replaced a backing array per bucket, each kept at the
+// largest size its cycle ever reached; a 4×4 directory run's 4,096
+// buckets ended holding 102,409 slots (4.9 MB) where the arena holds 46,
+// and every fresh kernel regrew them all from empty.
 //
 // Two event forms are supported: closures (At/After) for cold paths, and
 // typed handler events (AtEvent/AfterEvent) that carry two integers and a
@@ -24,10 +33,8 @@
 // message arrival, protocol sends) schedule without allocating. A closure
 // travels as a funcHandler, so both forms share one event layout.
 //
-// Scheduling writes an event's fields straight into a fresh slot of its
-// wheel bucket, and dispatch fires through a pointer to that slot: a
-// near event is never assembled on the stack and copied. Only events
-// beyond the wheel horizon are copied, into the far heap.
+// Scheduling writes an event's fields straight into its arena slot; only
+// events beyond the wheel horizon are copied, into the far heap.
 package sim
 
 import (
@@ -55,12 +62,20 @@ type funcHandler func()
 
 func (f funcHandler) HandleEvent(uint64, uint64, any) { f() }
 
-// event is one scheduled handler invocation. Wheel buckets hold events
-// in place; the far heap holds them by value. No event allocates.
+// event is one scheduled handler invocation. The arena holds wheel
+// events in place; the far heap holds them by value. No event allocates.
 type event struct {
 	h      Handler
 	a0, a1 uint64
 	p      any
+}
+
+// slot is an arena entry: a pending event linked to the next one in its
+// bucket, or (once fired) to the next free slot. Index 0 is reserved to
+// mean "none", so zero-valued indices are empty lists.
+type slot struct {
+	event
+	next int32
 }
 
 const (
@@ -85,12 +100,14 @@ type Kernel struct {
 	// Executed counts events dispatched since construction.
 	Executed uint64
 
-	// wheel[t&wheelMask] holds the events scheduled for time t, for
-	// t in [now, now+wheelSize); within a bucket, append order is
-	// dispatch order. Allocated lazily so the zero Kernel stays usable.
-	wheel      [][]event
-	wheelCount int // undispatched events in the wheel
-	cellPos    int // dispatch cursor within the bucket at now
+	// wheel[t&wheelMask] lists the events scheduled for time t, for t
+	// in [now, now+wheelSize), as arena indices; list order is dispatch
+	// order. slots[0] is the reserved "none" entry, so a zero head or
+	// tail is an empty bucket and the zero Kernel stays usable.
+	wheel      [wheelSize]struct{ head, tail int32 }
+	slots      []slot
+	free       int32 // head of the LIFO free-slot list, linked through next
+	wheelCount int   // undispatched events in the wheel
 
 	// occ is the wheel's bucket-occupancy bitmap (one bit per bucket):
 	// advancing time jumps straight to the next set bit instead of
@@ -139,38 +156,41 @@ func (k *Kernel) AfterEvent(d Time, h Handler, a0, a1 uint64, p any) {
 	k.AtEvent(k.now+d, h, a0, a1, p)
 }
 
-// wheelSlot appends an empty slot to the bucket for time t (which must
-// be within the horizon), maintaining the occupancy bitmap, and returns
-// it for the caller to fill in place. Recycled bucket storage is
-// cleared, so extending within capacity yields a zero slot.
+// wheelSlot links a free arena slot at the tail of the bucket for time
+// t (which must be within the horizon), maintaining the occupancy
+// bitmap, and returns its event for the caller to fill in place.
 func (k *Kernel) wheelSlot(t Time) *event {
-	if k.wheel == nil {
-		k.wheel = make([][]event, wheelSize)
+	i := k.free
+	if i == 0 {
+		i = k.grow()
 	}
-	i := t & wheelMask
-	cell := k.wheel[i]
-	if n := len(cell); n < cap(cell) {
-		cell = cell[:n+1]
+	k.free, k.slots[i].next = k.slots[i].next, 0
+	b := &k.wheel[t&wheelMask]
+	if b.tail == 0 {
+		b.head = i
+		k.occ[(t&wheelMask)>>6] |= 1 << (t & 63)
 	} else {
-		cell = append(cell, event{})
+		k.slots[b.tail].next = i
 	}
-	k.wheel[i] = cell
-	k.occ[i>>6] |= 1 << (i & 63)
+	b.tail = i
 	k.wheelCount++
-	return &cell[len(cell)-1]
+	return &k.slots[i].event
 }
 
-// recycleCell clears bucket i's storage and occupancy bit.
-func (k *Kernel) recycleCell(i Time) {
-	cell := k.wheel[i]
-	clear(cell)
-	k.wheel[i] = cell[:0]
-	k.occ[i>>6] &^= 1 << (i & 63)
+// grow appends a slot to the arena and returns its index. It runs only
+// when the free list is empty, so the arena never outgrows the largest
+// number of events pending in the wheel at once.
+func (k *Kernel) grow() int32 {
+	if len(k.slots) == 0 {
+		k.slots = append(k.slots, slot{}) // index 0: "none"
+	}
+	k.slots = append(k.slots, slot{})
+	return int32(len(k.slots) - 1)
 }
 
 // nextOccupied returns the smallest time strictly after t whose wheel
 // bucket holds events. It must only be called while such a bucket
-// exists (wheelCount > 0 with the bucket at t exhausted and recycled).
+// exists (wheelCount > 0 with the bucket at t empty).
 func (k *Kernel) nextOccupied(t Time) Time {
 	cur := int(t & wheelMask)
 	// First partial word: bits strictly above cur within its word.
@@ -211,25 +231,18 @@ func (k *Kernel) advance(limit Time, bounded bool) bool {
 			return false
 		}
 		if k.wheelCount > 0 {
-			cell := k.wheel[k.now&wheelMask]
-			if k.cellPos < len(cell) {
+			if k.wheel[k.now&wheelMask].head != 0 {
 				return true
 			}
-			if len(cell) > 0 {
-				// Bucket exhausted: drop event references for GC and
-				// recycle the storage for a future cycle.
-				k.recycleCell(k.now & wheelMask)
-			}
-			k.cellPos = 0
 			if bounded && k.now >= limit {
 				return false
 			}
 			// Jump to the next occupied bucket (wheelCount > 0 with the
-			// current bucket recycled guarantees one exists). Far
-			// events newly inside the horizon migrate after the jump;
-			// they are all later than the jump target, since the skipped
-			// cycles' buckets were empty and migration had already run
-			// for every earlier horizon.
+			// current bucket empty guarantees one exists). Far events
+			// newly inside the horizon migrate after the jump; they are
+			// all later than the jump target, since the skipped cycles'
+			// buckets were empty and migration had already run for
+			// every earlier horizon.
 			next := k.nextOccupied(k.now)
 			if bounded && next > limit {
 				k.now = limit
@@ -241,12 +254,6 @@ func (k *Kernel) advance(limit Time, bounded bool) bool {
 			continue
 		}
 		// Wheel empty: jump straight to the earliest far event.
-		if cp := k.currentCell(); cp != nil && len(*cp) > 0 {
-			// All events in the current bucket were dispatched but the
-			// bucket was not yet recycled (wheelCount hit zero mid-cell).
-			k.recycleCell(k.now & wheelMask)
-			k.cellPos = 0
-		}
 		if len(k.far) == 0 {
 			if bounded && k.now < limit {
 				k.now = limit
@@ -269,26 +276,26 @@ func (k *Kernel) advance(limit Time, bounded bool) bool {
 	}
 }
 
-func (k *Kernel) currentCell() *[]event {
-	if k.wheel == nil {
-		return nil
-	}
-	return &k.wheel[k.now&wheelMask]
-}
-
-// dispatchOne fires the next event in the current bucket. The caller
-// must have established readiness via advance.
+// dispatchOne fires the head of the current bucket. The caller must have
+// established readiness via advance.
 func (k *Kernel) dispatchOne() {
-	ev := &k.wheel[k.now&wheelMask][k.cellPos]
-	// References are released in bulk when the bucket empties (advance
-	// clears it); per-slot zeroing here would double the memclr work.
-	k.cellPos++
+	t := k.now & wheelMask
+	b := &k.wheel[t]
+	i := b.head
+	s := &k.slots[i]
+	if b.head = s.next; b.head == 0 {
+		b.tail = 0
+		k.occ[t>>6] &^= 1 << (t & 63)
+	}
+	// Copy the event out and free its slot before the handler runs: the
+	// handler may schedule into this bucket, reuse the slot or grow (and
+	// so move) the arena, and free slots must hold no references.
+	h, a0, a1, p := s.h, s.a0, s.a1, s.p
+	s.h, s.p = nil, nil
+	s.next, k.free = k.free, i
 	k.wheelCount--
 	k.Executed++
-	// The call reads the slot's fields before the handler runs, so a
-	// handler that schedules into this bucket — and so may reallocate
-	// it — cannot disturb its own arguments.
-	ev.h.HandleEvent(ev.a0, ev.a1, ev.p)
+	h.HandleEvent(a0, a1, p)
 }
 
 // Step fires the next event, advancing time to it. It reports whether an
@@ -328,13 +335,6 @@ func (k *Kernel) RunWindow(end Time) uint64 {
 		return 0
 	}
 	n := k.Run(end - 1)
-	// Run left now == end-1 with that bucket fully dispatched but
-	// possibly not yet recycled; recycle it before jumping so the slot
-	// is clean when time wraps around the wheel.
-	if cp := k.currentCell(); cp != nil && len(*cp) > 0 {
-		k.recycleCell(k.now & wheelMask)
-	}
-	k.cellPos = 0
 	k.now = end
 	// Far events newly inside the horizon must migrate now, so that
 	// later schedules at the same timestamp append behind them.

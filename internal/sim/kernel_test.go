@@ -121,6 +121,59 @@ func TestKernelCascade(t *testing.T) {
 	}
 }
 
+// TestKernelArenaBound: the slot arena grows only when the pending
+// events outnumber its slots, so a random schedule of typed and closure
+// events — delays inside and beyond the wheel horizon, same-instant
+// fan-out — that never has more than P events pending ends with at most
+// P+1 slots (slot 0 is reserved), and once drained holds no references.
+func TestKernelArenaBound(t *testing.T) {
+	const (
+		maxPending = 64
+		total      = 1_000_000
+	)
+	k := NewKernel()
+	rng := NewRNG(0xa7e4a)
+	deltas := []Time{0, 0, 0, 1, 3, 17, 255, 4095, 4096, 9000}
+	var fired int
+	var schedule func()
+	h := &handlerAdapter{fn: func(uint64, uint64, any) { schedule() }}
+	payload := &struct{ x int }{}
+	// schedule runs as each event fires: it keeps the schedule alive with
+	// one replacement, sometimes fans out further, and never lets more
+	// than maxPending events be pending at once.
+	schedule = func() {
+		fired++
+		if fired >= total {
+			return
+		}
+		for n := 1 + rng.Intn(3); n > 0 && k.Pending() < maxPending; n-- {
+			d := deltas[rng.Intn(len(deltas))]
+			if rng.Intn(2) == 0 {
+				k.AfterEvent(d, h, 1, 2, payload)
+			} else {
+				k.After(d, schedule)
+			}
+		}
+	}
+	for i := 0; i < maxPending; i++ {
+		k.AfterEvent(Time(i), h, 1, 2, payload)
+	}
+	if !k.Drain(2 * total) {
+		t.Fatalf("schedule did not drain: %d pending", k.Pending())
+	}
+	if fired < total {
+		t.Fatalf("fired %d events, want at least %d", fired, total)
+	}
+	if len(k.slots) > maxPending+1 {
+		t.Fatalf("arena holds %d slots with at most %d events pending", len(k.slots), maxPending)
+	}
+	for i, s := range k.slots {
+		if s.h != nil || s.p != nil {
+			t.Fatalf("drained arena slot %d still references handler %v, payload %v", i, s.h, s.p)
+		}
+	}
+}
+
 func TestRNGDeterminism(t *testing.T) {
 	a, b := NewRNG(42), NewRNG(42)
 	for i := 0; i < 1000; i++ {
@@ -260,3 +313,26 @@ func BenchmarkKernelScheduleFireTyped(b *testing.B) {
 }
 
 var benchSink uint64
+
+// BenchmarkKernelManyPending keeps 1,024 typed events pending, at delays
+// spread over 0–255 cycles; each iteration fires one and schedules its
+// replacement. The two benchmarks above keep one event pending, so they
+// cannot show what scheduling and dispatch cost once the pending events
+// span many buckets.
+func BenchmarkKernelManyPending(b *testing.B) {
+	const pending = 1024
+	k := NewKernel()
+	var sum uint64
+	h := &handlerAdapter{fn: func(a0, a1 uint64, _ any) { sum += a0 + a1 }}
+	payload := &struct{ x int }{}
+	for i := 0; i < pending; i++ {
+		k.AfterEvent(Time(i*97%256), h, uint64(i)|1, 2, payload)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k.Step()
+		k.AfterEvent(Time(i*97%256), h, uint64(i)|1, 2, payload)
+	}
+	benchSink = sum
+}

@@ -247,12 +247,12 @@ type slotPayload struct {
 }
 
 // TestKernelBucketGrowthMidDispatch: a typed handler that schedules more
-// same-instant events than its bucket can hold forces the bucket to
-// reallocate while the handler's own slot is being dispatched. Every
-// handler must still see its own a0, a1 and p, and closures interleaved
-// with typed events must fire in the reference scheduler's order.
+// same-instant events than the slot arena can hold forces the arena to
+// reallocate while the handler is being dispatched. Every handler must
+// still see its own a0, a1 and p, and closures interleaved with typed
+// events must fire in the reference scheduler's order.
 func TestKernelBucketGrowthMidDispatch(t *testing.T) {
-	const fan = 40 // same-instant children per event, beyond any bucket's first capacity
+	const fan = 40 // same-instant children per event, beyond the arena's first capacity
 	var grew int
 	run := func(s scheduler, k *Kernel) []uint64 {
 		var log []uint64
@@ -269,10 +269,9 @@ func TestKernelBucketGrowthMidDispatch(t *testing.T) {
 		}
 		h := &handlerAdapter{fn: func(a0, a1 uint64, p any) {
 			pl := p.(*slotPayload)
-			cell := &k.wheel[k.now&wheelMask]
-			before := &(*cell)[0]
+			before := &k.slots[0]
 			spawn(pl.depth)
-			if &(*cell)[0] != before {
+			if &k.slots[0] != before {
 				grew++
 			}
 			if a1 != ^a0 || pl.id != a0 {
@@ -303,7 +302,7 @@ func TestKernelBucketGrowthMidDispatch(t *testing.T) {
 	k := NewKernel()
 	newLog := run(k, k)
 	if grew == 0 {
-		t.Fatal("no handler saw its bucket reallocate: the scenario misses the case it pins")
+		t.Fatal("no handler saw the arena reallocate: the scenario misses the case it pins")
 	}
 	if len(refLog) != len(newLog) {
 		t.Fatalf("dispatched %d events, reference dispatched %d", len(newLog), len(refLog))
@@ -313,5 +312,5 @@ func TestKernelBucketGrowthMidDispatch(t *testing.T) {
 			t.Fatalf("dispatch order diverges at %d: kernel=%d reference=%d", i, newLog[i], refLog[i])
 		}
 	}
-	t.Logf("%d events dispatched identically; %d typed handlers saw their bucket reallocate", len(newLog), grew)
+	t.Logf("%d events dispatched identically; %d typed handlers saw the arena reallocate", len(newLog), grew)
 }

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"strings"
 
+	"specsimp/internal/cache"
 	"specsimp/internal/coherence"
 	"specsimp/internal/core"
 	"specsimp/internal/directory"
@@ -340,9 +341,10 @@ const (
 
 // ValidateConfig reports whether cfg describes a buildable machine:
 // network geometry, node-count agreement, the directory sharer-set
-// format's node ceiling, and the snooping size cap. It runs before any
-// construction, so an oversize machine is an error the caller can
-// report (e.g. per sweep design point), not a panic mid-build.
+// format's node ceiling, the snooping size cap, and the cache geometry.
+// It runs before any construction, so an oversize machine is an error
+// the caller can report (e.g. per sweep design point), not a panic
+// mid-build.
 func ValidateConfig(cfg Config) error {
 	cfg = normalizeConfig(cfg)
 	if err := cfg.Workload.Validate(); err != nil {
@@ -367,7 +369,11 @@ func ValidateConfig(cfg Config) error {
 		if cfg.TimeoutCycles > 0 && cfg.TimeoutCycles < cfg.CheckpointInterval {
 			return fmt.Errorf("system: TimeoutCycles %d is shorter than CheckpointInterval %d — the watchdog would declare deadlock inside one normal checkpoint epoch; use a multiple of the interval (DefaultConfig derives 3×) or 0 to disarm", cfg.TimeoutCycles, cfg.CheckpointInterval)
 		}
-		return directoryConfigFor(cfg).Validate()
+		dcfg := directoryConfigFor(cfg)
+		if err := validateCaches(dcfg.L1Bytes, dcfg.L1Ways, dcfg.L2Bytes, dcfg.L2Ways); err != nil {
+			return err
+		}
+		return dcfg.Validate()
 	}
 	if cfg.Nodes > MaxSegmentedSnoopNodes {
 		return fmt.Errorf("system: snooping systems cap at %d nodes even on the segmented address network (every ordered request still reaches every node); %d nodes needs a directory kind", MaxSegmentedSnoopNodes, cfg.Nodes)
@@ -379,6 +385,19 @@ func ValidateConfig(cfg Config) error {
 		if err := cfg.Bus.Validate(); err != nil {
 			return err
 		}
+	}
+	scfg := snoopConfigFor(cfg)
+	return validateCaches(scfg.L1Bytes, scfg.L1Ways, scfg.L2Bytes, scfg.L2Ways)
+}
+
+// validateCaches reports an L1 or L2 geometry that cache.New would
+// refuse, naming the level.
+func validateCaches(l1Bytes, l1Ways, l2Bytes, l2Ways int) error {
+	if _, err := cache.Geometry(l1Bytes, l1Ways); err != nil {
+		return fmt.Errorf("system: L1 %w", err)
+	}
+	if _, err := cache.Geometry(l2Bytes, l2Ways); err != nil {
+		return fmt.Errorf("system: L2 %w", err)
 	}
 	return nil
 }
@@ -501,6 +520,19 @@ func directoryConfigFor(cfg Config) directory.Config {
 	return dcfg
 }
 
+// snoopConfigFor derives the snooping protocol configuration for a
+// snooping-kind system config (shared by ValidateConfig and Build).
+func snoopConfigFor(cfg Config) snoop.Config {
+	v := snoop.Full
+	if cfg.Kind == SnoopSpec {
+		v = snoop.Spec
+	}
+	scfg := snoop.DefaultConfig(cfg.Nodes, v)
+	scfg.TimeoutCycles = cfg.TimeoutCycles
+	overrideCaches(&scfg.L1Bytes, &scfg.L1Ways, &scfg.L2Bytes, &scfg.L2Ways, cfg)
+	return scfg
+}
+
 // Build constructs the system. It panics on invalid configuration;
 // BuildChecked returns the error instead.
 func Build(cfg Config) *System {
@@ -564,15 +596,8 @@ func BuildChecked(cfg Config) (*System, error) {
 		}
 		access = dir.Access
 	default:
-		v := snoop.Full
-		if cfg.Kind == SnoopSpec {
-			v = snoop.Spec
-		}
-		scfg := snoop.DefaultConfig(cfg.Nodes, v)
-		scfg.TimeoutCycles = cfg.TimeoutCycles
-		overrideCaches(&scfg.L1Bytes, &scfg.L1Ways, &scfg.L2Bytes, &scfg.L2Ways, cfg)
 		s.Bus = snoop.NewBus(k, cfg.Bus)
-		s.Snoop = snoop.New(k, s.Bus, net, scfg, mgr)
+		s.Snoop = snoop.New(k, s.Bus, net, snoopConfigFor(cfg), mgr)
 		s.Snoop.OnMisSpeculation = func(reason string) { coord.TriggerMisSpeculation(reason) }
 		access = s.Snoop.Access
 	}

@@ -175,6 +175,42 @@ func TestValidateFaultAndCadenceConfig(t *testing.T) {
 	}
 }
 
+// TestValidateCacheGeometry: an L1 or L2 override that cache.New would
+// refuse is a config error naming the level and the numbers, returned by
+// ValidateConfig and by BuildChecked before anything is built, for both
+// protocol families.
+func TestValidateCacheGeometry(t *testing.T) {
+	cases := []struct {
+		name string
+		set  func(*Config)
+		want string
+	}{
+		{"3MB L2", func(c *Config) { c.L2Bytes = 3 << 20 }, "L2 cache: 3145728 bytes / 4 ways yields non-power-of-two set count 12288"},
+		{"3-way L2", func(c *Config) { c.L2Ways = 3 }, "L2 cache: 4194304 bytes / 3 ways"},
+		{"16MB L2", func(c *Config) { c.L2Bytes = 16 << 20 }, "L2 cache: 16777216 bytes / 4 ways yields 65536 sets"},
+		{"3-way L1", func(c *Config) { c.L1Ways = 3 }, "L1 cache: 131072 bytes / 3 ways yields non-power-of-two set count 682"},
+		{"L1 under one set", func(c *Config) { c.L1Bytes = 128 }, "L1 cache: 128 bytes / 4 ways yields non-power-of-two set count 0"},
+	}
+	for _, kind := range []Kind{DirectorySpec, SnoopSpec} {
+		for _, tc := range cases {
+			cfg := DefaultConfig(kind, workload.OLTP)
+			tc.set(&cfg)
+			err := ValidateConfig(cfg)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s %s: ValidateConfig = %v, want an error containing %q", kind, tc.name, err, tc.want)
+			}
+			if _, err := BuildChecked(cfg); err == nil {
+				t.Errorf("%s %s: BuildChecked accepted the geometry", kind, tc.name)
+			}
+		}
+		largest := DefaultConfig(kind, workload.OLTP)
+		largest.L2Bytes = 8 << 20 // 32,768 sets at 4 ways: the largest a cache may have
+		if err := ValidateConfig(largest); err != nil {
+			t.Errorf("%s 8MB L2 rejected: %v", kind, err)
+		}
+	}
+}
+
 // TestBuildPanicsStayForLegacyCallers keeps the documented contract of
 // the unchecked constructors: Build panics (with the same descriptive
 // error) for callers that treat configuration as a programming error.
