@@ -14,11 +14,14 @@ import (
 	"os"
 	"sort"
 
-	"specsimp"
 	"specsimp/internal/campaign"
 	"specsimp/internal/experiments"
+	"specsimp/internal/network"
 	"specsimp/internal/runner"
+	"specsimp/internal/sim"
 	"specsimp/internal/stats"
+	"specsimp/internal/system"
+	"specsimp/internal/workload"
 )
 
 func main() {
@@ -45,20 +48,20 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	wl, err := specsimp.ResolveWorkload(*wlName)
+	wl, err := workload.Resolve(*wlName)
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg := specsimp.DefaultConfig(kind, wl)
+	cfg := system.DefaultConfig(kind, wl)
 	cfg.Seed = *seed
 	switch *netKind {
 	case "":
 	case "static":
-		cfg.Net = specsimp.SafeStaticConfig(4, 4, *bw)
+		cfg.Net = network.SafeStaticConfig(4, 4, *bw)
 	case "adaptive":
-		cfg.Net = specsimp.AdaptiveNetConfig(4, 4, *bw)
+		cfg.Net = network.AdaptiveConfig(4, 4, *bw)
 	case "simplified":
-		cfg.Net = specsimp.SimplifiedNetConfig(4, 4, *bw, *buffers)
+		cfg.Net = network.SimplifiedConfig(4, 4, *bw, *buffers)
 		if cfg.TimeoutCycles == 0 {
 			cfg.TimeoutCycles = 3 * cfg.CheckpointInterval
 		}
@@ -66,12 +69,12 @@ func main() {
 		log.Fatalf("unknown network %q", *netKind)
 	}
 	if *interval > 0 {
-		cfg.CheckpointInterval = specsimp.Time(*interval)
+		cfg.CheckpointInterval = sim.Time(*interval)
 		if cfg.TimeoutCycles > 0 {
 			cfg.TimeoutCycles = 3 * cfg.CheckpointInterval
 		}
 	}
-	cfg.InjectRecoveryEvery = specsimp.Time(*inject)
+	cfg.InjectRecoveryEvery = sim.Time(*inject)
 	if *shards != "0" {
 		n, rows, cols, err := campaign.ParseShards(*shards)
 		if err != nil {
@@ -79,7 +82,7 @@ func main() {
 		}
 		cfg.Shards, cfg.ShardRows, cfg.ShardCols = n, rows, cols
 	}
-	if err := specsimp.ValidateConfig(cfg); err != nil {
+	if err := system.ValidateConfig(cfg); err != nil {
 		log.Fatal(err)
 	}
 
@@ -87,10 +90,10 @@ func main() {
 		if *runs > 1 {
 			log.Fatal("-record-trace records a single run; drop -runs")
 		}
-		cfg.Recorder = specsimp.NewTraceRecorder(wl.Name, cfg.Nodes)
+		cfg.Recorder = workload.NewTraceRecorder(wl.Name, cfg.Nodes)
 	}
 	if *runs <= 1 {
-		r := specsimp.RunOne(cfg, specsimp.Time(*cycles))
+		r := system.RunOne(cfg, sim.Time(*cycles))
 		if cfg.Recorder != nil {
 			if err := cfg.Recorder.Trace().WriteFile(*recTrace); err != nil {
 				log.Fatal(err)
@@ -104,7 +107,7 @@ func main() {
 	// same seeds (base + i·7919) and worker pool as every experiment.
 	pts := make([]runner.Point, *runs)
 	for i := range pts {
-		pts[i] = experiments.SysPoint("specsim", cfg, specsimp.Time(*cycles), nil, i)
+		pts[i] = experiments.SysPoint("specsim", cfg, sim.Time(*cycles), nil, i)
 	}
 	res := (&runner.Runner{}).Run(pts)
 	var perf, recoveries stats.Sample
@@ -124,10 +127,10 @@ func main() {
 	}
 }
 
-func parseKind(s string) (specsimp.Kind, error) {
-	for _, k := range []specsimp.Kind{
-		specsimp.DirectoryFull, specsimp.DirectorySpec,
-		specsimp.SnoopFull, specsimp.SnoopSpec,
+func parseKind(s string) (system.Kind, error) {
+	for _, k := range []system.Kind{
+		system.DirectoryFull, system.DirectorySpec,
+		system.SnoopFull, system.SnoopSpec,
 	} {
 		if k.String() == s {
 			return k, nil
@@ -136,7 +139,7 @@ func parseKind(s string) (specsimp.Kind, error) {
 	return 0, fmt.Errorf("unknown kind %q", s)
 }
 
-func report(r specsimp.Results) {
+func report(r system.Results) {
 	fmt.Printf("system:        %s\n", r.Kind)
 	fmt.Printf("workload:      %s\n", r.Workload)
 	fmt.Printf("cycles:        %d\n", r.Cycles)

@@ -290,6 +290,8 @@ func TestBuildPlanValidation(t *testing.T) {
 		{"bad shard count", `{"run_id": "x", "shards": "zero", "experiments": [{"name": "fig5"}]}`, "-shards"},
 		{"non-dividing shards", `{"run_id": "x", "shards": "3x5", "experiments": [{"name": "fig5"}]}`, "does not divide"},
 		{"negative repeats", `{"run_id": "x", "repeats": -1, "experiments": [{"name": "fig5"}]}`, "repeats"},
+		// 20 design points × 10,000 repeats is twice the plan limit.
+		{"too many points", `{"run_id": "x", "repeats": 10000, "experiments": [{"name": "fig4"}]}`, `experiment "fig4": 20 design points × 10000 repeats`},
 		// Each numeric axis accepts only the range its model simulates
 		// as labelled, and the error names experiment, axis and value.
 		{"NaN bandwidth", `{"run_id": "x", "experiments": [{"name": "reorder", "axes": {"bw": ["NaN"]}}]}`, `experiment reorder, axis bw: value "NaN"`},

@@ -42,6 +42,25 @@ func FuzzLoadResults(f *testing.F) {
 	})
 }
 
+// FuzzBuildPlan feeds arbitrary bytes to the campaign spec reader and
+// BuildPlan: they must give a plan or a descriptive error, never panic,
+// and a plan they accept stays within the point limit.
+func FuzzBuildPlan(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spec, err := ParseSpec(data)
+		if err != nil {
+			return
+		}
+		plan, err := BuildPlan(spec)
+		if err != nil {
+			return
+		}
+		if n := plan.Points(); n > maxPlanPoints {
+			t.Fatalf("accepted a %d-point plan", n)
+		}
+	})
+}
+
 // FuzzOpenLedger feeds arbitrary bytes to OpenLedger as a run's
 // progress/points.jsonl: it must return a ledger or a descriptive
 // error, never panic, and reopening the file it rewrote must give the
@@ -91,6 +110,13 @@ func FuzzOpenLedger(f *testing.F) {
 // them into plain garbage fails here instead of silently weakening the
 // fuzzers.
 func TestFuzzSeedsDecode(t *testing.T) {
+	spec, err := ParseSpec(readSeed(t, "FuzzBuildPlan", "seed-smoke"))
+	if err != nil {
+		t.Fatalf("smoke spec seed rejected: %v", err)
+	}
+	if _, err := BuildPlan(spec); err != nil {
+		t.Fatalf("smoke spec seed does not plan: %v", err)
+	}
 	pe := fuzzPlan(t)
 	if _, _, err := parseResults("slowstart.csv", readSeed(t, "FuzzLoadResults", "seed-valid"), pe); err != nil {
 		t.Fatalf("valid CSV seed rejected: %v", err)

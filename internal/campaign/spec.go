@@ -206,11 +206,17 @@ func (p Plan) Points() int {
 	return n
 }
 
+// maxPlanPoints caps a campaign's design points, about 200 times the
+// 456 of campaigns/paper.json. BuildPlan counts a plan before it
+// materializes any grid, so a spec with runaway repeats or axis lists
+// is an error, not an out-of-memory kill.
+const maxPlanPoints = 100_000
+
 // BuildPlan validates a spec against the experiment registry and
 // materializes every grid. All failures are descriptive errors — an
 // unknown experiment, a duplicate experiment (its artifacts would
 // share one CSV), a malformed axis value, a shard shape that can never
-// tile a machine — never panics.
+// tile a machine, a plan over maxPlanPoints points — never panics.
 func BuildPlan(spec Spec) (Plan, error) {
 	if len(spec.Experiments) == 0 {
 		return Plan{}, fmt.Errorf("campaign spec lists no experiments (registered: %s)",
@@ -255,6 +261,7 @@ func BuildPlan(spec Spec) (Plan, error) {
 
 	plan := Plan{Spec: spec, RunID: spec.RunID, Parallel: spec.Parallel}
 	seen := map[string]bool{}
+	total := 0
 	for _, es := range spec.Experiments {
 		if es.Name == "" {
 			return Plan{}, fmt.Errorf("campaign spec: experiment entry without a name")
@@ -289,7 +296,21 @@ func BuildPlan(spec Spec) (Plan, error) {
 		if err != nil {
 			return Plan{}, fmt.Errorf("campaign spec: %v", err)
 		}
-		plan.Experiments = append(plan.Experiments, PlanExperiment{Exp: e, Params: np, Points: e.Grid(np)})
+		// Every grid repeats each design point Runs times, so one
+		// repeat's grid sizes the experiment without building it.
+		one := np
+		one.Runs = 1
+		grid := len(e.Grid(one))
+		if grid > 0 && np.Runs > (maxPlanPoints-total)/grid {
+			return Plan{}, fmt.Errorf("campaign spec: experiment %q: %d design points × %d repeats takes the plan past %d points",
+				es.Name, grid, np.Runs, maxPlanPoints)
+		}
+		total += grid * np.Runs
+		plan.Experiments = append(plan.Experiments, PlanExperiment{Exp: e, Params: np})
+	}
+	for i := range plan.Experiments {
+		pe := &plan.Experiments[i]
+		pe.Points = pe.Exp.Grid(pe.Params)
 	}
 	return plan, nil
 }

@@ -9,7 +9,7 @@ import "specsimp/internal/coherence"
 func (p *Protocol) BlockVersion(a coherence.Addr) uint64 {
 	a = coherence.BlockAddr(a)
 	for _, c := range p.caches {
-		if l := c.l2.Peek(a); l != nil {
+		if l := c.L2.Peek(a); l != nil {
 			s := CState(l.State)
 			if s == CM || s == CO {
 				return l.Version
@@ -19,7 +19,7 @@ func (p *Protocol) BlockVersion(a coherence.Addr) uint64 {
 			return c.wb.version
 		}
 	}
-	return p.dirs[p.Home(a)].store.Read(a)
+	return p.dirs[p.Home(a)].h.Mem.Read(a)
 }
 
 // CacheState returns the controller-visible coherence state of a block
@@ -43,5 +43,5 @@ func (p *Protocol) DirState(a coherence.Addr) (DState, bool) {
 // MemVersion returns main memory's version of a block at its home.
 func (p *Protocol) MemVersion(a coherence.Addr) uint64 {
 	a = coherence.BlockAddr(a)
-	return p.dirs[p.Home(a)].store.Read(a)
+	return p.dirs[p.Home(a)].h.Mem.Read(a)
 }

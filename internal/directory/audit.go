@@ -2,10 +2,9 @@ package directory
 
 import (
 	"fmt"
-	"slices"
 
-	"specsimp/internal/cache"
 	"specsimp/internal/coherence"
+	"specsimp/internal/mem"
 )
 
 // AuditInvariants checks the protocol's global correctness invariants.
@@ -26,100 +25,49 @@ func (p *Protocol) AuditInvariants() error {
 	if n := p.InFlight(); n != 0 {
 		return fmt.Errorf("audit requires quiescence; %d transactions in flight", n)
 	}
-	type copyInfo struct {
-		node    int
-		state   CState
-		version uint64
-	}
-	copies := make(map[coherence.Addr][]copyInfo)
+	hs := make([]*mem.Hier, len(p.caches))
 	for i, c := range p.caches {
-		i := i
-		c.l2.ForEach(func(l *cache.Line) {
-			copies[l.Addr] = append(copies[l.Addr], copyInfo{i, CState(l.State), l.Version})
-		})
+		hs[i] = &c.Hier
 	}
 	// Every block the directory knows about is audited, plus every
 	// cached block (which must be known to its home).
-	addrs := make(map[coherence.Addr]bool)
+	var known []coherence.Addr
 	for _, d := range p.dirs {
 		for a := range d.entries {
-			addrs[a] = true
+			known = append(known, a)
 		}
 	}
-	for a := range copies {
-		addrs[a] = true
-	}
-	// Audit in address order so the first violation reported is the
-	// same on every run (map order would make failure messages — and
-	// replay triage — nondeterministic).
-	sorted := make([]coherence.Addr, 0, len(addrs))
-	for a := range addrs {
-		sorted = append(sorted, a)
-	}
-	slices.Sort(sorted)
-
-	for _, a := range sorted {
-		home := p.dirs[p.Home(a)]
-		e := home.entries[a]
-		cs := copies[a]
-
-		owners := 0
-		ownerNode := -1
-		var version uint64
-		versionSet := false
-		for _, ci := range cs {
-			switch ci.state {
-			case CM, CO:
-				owners++
-				ownerNode = ci.node
-			case CS:
-			default:
-				return fmt.Errorf("block %#x: transient state %s in cache array of node %d", uint64(a), ci.state, ci.node)
-			}
-			if versionSet && ci.version != version {
-				return fmt.Errorf("block %#x: version divergence among cached copies (%d vs %d)", uint64(a), ci.version, version)
-			}
-			version, versionSet = ci.version, true
-		}
-		if owners > 1 {
-			return fmt.Errorf("block %#x: %d simultaneous owners", uint64(a), owners)
-		}
-		memV := home.store.Read(a)
-		if versionSet && memV > version {
-			return fmt.Errorf("block %#x: memory version %d newer than cached %d", uint64(a), memV, version)
-		}
-		if owners == 0 && versionSet && memV != version {
-			return fmt.Errorf("block %#x: no owner but memory %d != cached %d", uint64(a), memV, version)
-		}
+	return mem.Audit(hs, known, p.MemVersion, func(a coherence.Addr, owner int, cs []mem.Copy) error {
+		e := p.dirs[p.Home(a)].entries[a]
 		if e == nil {
 			if len(cs) > 0 {
 				return fmt.Errorf("block %#x: cached with no directory entry", uint64(a))
 			}
-			continue
+			return nil
 		}
 		switch e.state {
 		case DM, DO:
-			if owners != 1 || ownerNode != e.owner {
-				return fmt.Errorf("block %#x: dir %s owner=%d but caches show owner node %d (count %d)",
-					uint64(a), e.state, e.owner, ownerNode, owners)
+			if owner < 0 || owner != e.owner {
+				return fmt.Errorf("block %#x: dir %s owner=%d but caches show owner node %d",
+					uint64(a), e.state, e.owner, owner)
 			}
 		case DS, DInv:
-			if owners != 0 {
-				return fmt.Errorf("block %#x: dir %s but node %d holds a dirty copy", uint64(a), e.state, ownerNode)
+			if owner >= 0 {
+				return fmt.Errorf("block %#x: dir %s but node %d holds a dirty copy", uint64(a), e.state, owner)
 			}
 		}
 		// Sharer bookkeeping: every actual S holder must be recorded
 		// (stale extras are fine: S evictions are silent, and the
 		// limited-pointer / coarse-vector formats are conservative
 		// supersets by construction).
-		for _, ci := range cs {
-			if ci.state == CS && !e.sharers.mayContain(p.lay, ci.node) && e.owner != ci.node {
-				return fmt.Errorf("block %#x: node %d holds S but is not in dir sharer set", uint64(a), ci.node)
+		for _, c := range cs {
+			if CState(c.State) == CS && !e.sharers.mayContain(p.lay, c.Node) && e.owner != c.Node {
+				return fmt.Errorf("block %#x: node %d holds S but is not in dir sharer set", uint64(a), c.Node)
 			}
 		}
 		if e.state == DInv && len(cs) > 0 {
 			return fmt.Errorf("block %#x: dir DInv but %d cached copies", uint64(a), len(cs))
 		}
-	}
-	return nil
+		return nil
+	})
 }

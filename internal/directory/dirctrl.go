@@ -33,8 +33,8 @@ type busyInfo struct {
 type dirCtrl struct {
 	p       *Protocol
 	node    coherence.NodeID
-	st      *Stats // the owning shard's stats
-	store   *mem.Store
+	st      *Stats    // the owning shard's stats
+	h       *mem.Hier // the node's hierarchy, for its memory slice and undo log
 	entries map[coherence.Addr]*dirEntry
 	busy    map[coherence.Addr]*busyInfo
 	queue   map[coherence.Addr][]coherence.Msg
@@ -76,22 +76,14 @@ func (d *dirCtrl) entry(a coherence.Addr) *dirEntry {
 	return e
 }
 
-// logEntry records the old directory entry and memory version before a
-// mutation, for checkpoint rollback.
+// logEntry records the old directory entry before a mutation, for
+// checkpoint rollback.
 func (d *dirCtrl) logEntry(a coherence.Addr) {
-	if d.p.log == nil {
+	if !d.h.Logging() {
 		return
 	}
 	old := *d.entry(a)
-	d.p.log.LogOldValue(int(d.node), uint64(a)|3, func() { *d.entry(a) = old })
-}
-
-func (d *dirCtrl) logMem(a coherence.Addr) {
-	if d.p.log == nil {
-		return
-	}
-	old := d.store.Read(a)
-	d.p.log.LogOldValue(int(d.node), uint64(a)|2, func() { d.store.Write(a, old) })
+	d.h.Undo(mem.TagDir, a, func() { *d.entry(a) = old })
 }
 
 func (d *dirCtrl) handle(msg coherence.Msg) {
@@ -209,8 +201,7 @@ func (d *dirCtrl) handlePutM(msg coherence.Msg) {
 		// The §3.1 race: a forward to the writing-back owner is in
 		// flight. Memory takes the written-back data either way.
 		d.st.WBRaces.Inc()
-		d.logMem(a)
-		d.store.Write(a, msg.Version)
+		d.h.WriteMem(a, msg.Version)
 		if d.p.cfg.Variant == Full {
 			// Full protocol: the owner may be unable to serve the
 			// forward (it may see the WBAck first), so the directory
@@ -242,8 +233,7 @@ func (d *dirCtrl) handlePutM(msg coherence.Msg) {
 	switch {
 	case (e.state == DM || e.state == DO) && e.owner == int(from):
 		d.logEntry(a)
-		d.logMem(a)
-		d.store.Write(a, msg.Version)
+		d.h.WriteMem(a, msg.Version)
 		e.owner = -1
 		if e.state == DO && !e.sharers.isEmpty() {
 			e.state = DS
@@ -295,7 +285,7 @@ func (d *dirCtrl) handleFinalAck(msg coherence.Msg) {
 }
 
 func (d *dirCtrl) sendDataFromMem(a coherence.Addr, to coherence.NodeID, acks int, tid uint64) {
-	version := d.store.Read(a)
+	version := d.h.Mem.Read(a)
 	d.p.sendAfter(d.p.cfg.DirLatency+d.p.cfg.MemLatency, coherence.Msg{
 		Kind: coherence.Data, Addr: a, From: d.node,
 		Requestor: to, Version: version, AckCount: acks, TID: tid,

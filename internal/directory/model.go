@@ -263,7 +263,7 @@ func (m *dirModel) Encode(e *explore.Enc) {
 	}
 	for _, c := range m.p.caches {
 		e.U8(0xC0)
-		c.l2.ForEachSetLRU(func(set int, l *cache.Line) {
+		c.L2.ForEachSetLRU(func(set int, l *cache.Line) {
 			e.Int(set)
 			e.U64(uint64(l.Addr))
 			e.U8(l.State)
@@ -362,13 +362,13 @@ func (m *dirModel) Encode(e *explore.Enc) {
 		}
 		e.U8(0xD3)
 		m.addrbuf = m.addrbuf[:0]
-		d.store.ForEach(func(a coherence.Addr, v uint64) {
+		d.h.Mem.ForEach(func(a coherence.Addr, v uint64) {
 			m.addrbuf = append(m.addrbuf, uint64(a))
 		})
 		sortU64(m.addrbuf)
 		for _, a := range m.addrbuf {
 			e.U64(a)
-			e.U64(d.store.Read(coherence.Addr(a)))
+			e.U64(d.h.Mem.Read(coherence.Addr(a)))
 		}
 	}
 	// In-flight messages as a multiset: delivery order is the engine's

@@ -2,7 +2,6 @@ package directory
 
 import (
 	"fmt"
-	"slices"
 
 	"specsimp/internal/cache"
 	"specsimp/internal/coherence"
@@ -28,13 +27,8 @@ type Config struct {
 	SharerPointers    int
 	SharerClusterSize int
 
-	L1Bytes, L1Ways int
-	L2Bytes, L2Ways int
-
-	L1Latency  sim.Time // L1 hit latency
-	L2Latency  sim.Time // L2 hit latency
+	mem.CacheConfig
 	DirLatency sim.Time // directory processing occupancy
-	MemLatency sim.Time // DRAM access before a memory-sourced Data
 
 	// TimeoutCycles is the coherence transaction timeout used as the §4
 	// deadlock detector (three checkpoint intervals in the paper); 0
@@ -47,22 +41,12 @@ type Config struct {
 // pointers with broadcast overflow beyond.
 func DefaultConfig(n int, v Variant) Config {
 	return Config{
-		Nodes:   n,
-		Variant: v,
-		Sharers: DefaultSharerFormat(n),
-		L1Bytes: 128 * 1024, L1Ways: 4,
-		L2Bytes: 4 * 1024 * 1024, L2Ways: 4,
-		L1Latency:  1,
-		L2Latency:  12,
-		DirLatency: 20,
-		MemLatency: 120,
+		Nodes:       n,
+		Variant:     v,
+		Sharers:     DefaultSharerFormat(n),
+		CacheConfig: mem.DefaultCacheConfig(),
+		DirLatency:  20,
 	}
-}
-
-// UndoLogger is the checkpointing hook (satisfied by
-// *safetynet.Manager). A nil logger disables checkpoint logging.
-type UndoLogger interface {
-	LogOldValue(node int, key uint64, undo func())
 }
 
 // Stats aggregates protocol measurements. All fields are exact integer
@@ -112,7 +96,6 @@ type Protocol struct {
 	net network.Fabric
 	cfg Config
 	lay sharerLayout // resolved sharer-set interpretation (from cfg)
-	log UndoLogger
 
 	// ks[node] and shardOf[node] map each node's controllers onto their
 	// execution shard (PartitionOnShards); serial protocols map every
@@ -201,7 +184,7 @@ func (p *Protocol) doneAfter(node coherence.NodeID, d sim.Time, done func()) {
 // invalid configuration; callers that want oversize machines reported
 // as errors (before kernels and networks exist) use NewChecked, or
 // validate Config up front as system.BuildChecked does.
-func New(k *sim.Kernel, net network.Fabric, cfg Config, log UndoLogger) *Protocol {
+func New(k *sim.Kernel, net network.Fabric, cfg Config, log mem.UndoLogger) *Protocol {
 	p, err := NewChecked(k, net, cfg, log)
 	if err != nil {
 		panic(err)
@@ -213,7 +196,7 @@ func New(k *sim.Kernel, net network.Fabric, cfg Config, log UndoLogger) *Protoco
 // panicking: a node count the configured sharer-set format cannot
 // represent (e.g. more than 64 nodes on a full bitmap) is a config
 // error, not a crash.
-func NewChecked(k *sim.Kernel, net network.Fabric, cfg Config, log UndoLogger) (*Protocol, error) {
+func NewChecked(k *sim.Kernel, net network.Fabric, cfg Config, log mem.UndoLogger) (*Protocol, error) {
 	if cfg.Nodes != net.NumNodes() {
 		return nil, fmt.Errorf("directory: %d nodes differ from network size %d", cfg.Nodes, net.NumNodes())
 	}
@@ -221,7 +204,7 @@ func NewChecked(k *sim.Kernel, net network.Fabric, cfg Config, log UndoLogger) (
 	if err != nil {
 		return nil, err
 	}
-	p := &Protocol{k: k, net: net, cfg: cfg, lay: lay, log: log}
+	p := &Protocol{k: k, net: net, cfg: cfg, lay: lay}
 	p.ks = make([]*sim.Kernel, cfg.Nodes)
 	p.shardOf = make([]int, cfg.Nodes)
 	p.sts = make([]Stats, 1)
@@ -231,21 +214,20 @@ func NewChecked(k *sim.Kernel, net network.Fabric, cfg Config, log UndoLogger) (
 	for i := 0; i < cfg.Nodes; i++ {
 		i := i
 		p.ks[i] = k
-		p.caches[i] = &cacheCtrl{
-			p:              p,
-			node:           coherence.NodeID(i),
-			k:              k,
-			st:             &p.sts[0],
-			l1:             cache.New(cfg.L1Bytes, cfg.L1Ways),
-			l2:             cache.New(cfg.L2Bytes, cfg.L2Ways),
-			servedStable:   make(map[coherence.Addr]uint64),
-			pendingRestore: make(map[coherence.Addr]restoredLine),
+		c := &cacheCtrl{
+			Hier:         mem.NewHier(i, cfg.CacheConfig, log),
+			p:            p,
+			node:         coherence.NodeID(i),
+			k:            k,
+			st:           &p.sts[0],
+			servedStable: make(map[coherence.Addr]uint64),
 		}
+		p.caches[i] = c
 		p.dirs[i] = &dirCtrl{
 			p:       p,
 			node:    coherence.NodeID(i),
 			st:      &p.sts[0],
-			store:   mem.NewStore(),
+			h:       &c.Hier,
 			entries: make(map[coherence.Addr]*dirEntry),
 			busy:    make(map[coherence.Addr]*busyInfo),
 			queue:   make(map[coherence.Addr][]coherence.Msg),
@@ -329,13 +311,12 @@ func (p *Protocol) InFlight() int {
 func (p *Protocol) ResetTransients() {
 	p.epoch++
 	for _, c := range p.caches {
-		c.flushPendingRestores()
+		c.FinishRollback()
 		c.req = nil
 		c.reqStore.done = nil // drop the callback reference with the TBE
 		c.wb = nil
 		c.parked = nil
 		c.servedStable = make(map[coherence.Addr]uint64)
-		c.l1.Clear()
 	}
 	for _, d := range p.dirs {
 		d.busy = make(map[coherence.Addr]*busyInfo)
@@ -475,12 +456,12 @@ type parkedAccess struct {
 }
 
 type cacheCtrl struct {
+	mem.Hier // the node's L1/L2 pair and memory slice
+
 	p    *Protocol
 	node coherence.NodeID
 	k    *sim.Kernel // the owning shard's kernel
 	st   *Stats      // the owning shard's stats
-	l1   *cache.Cache
-	l2   *cache.Cache
 	req  *reqTBE
 	wb   *wbTBE
 	// parked holds accesses waiting for the writeback TBE (an access to
@@ -497,87 +478,12 @@ type cacheCtrl struct {
 	// requestors use to reject stale duplicate Data from an earlier
 	// transaction on the same block.
 	tidNext uint64
-	// pendingRestore holds rollback line installs that found their set
-	// transiently full (log deduplication can reorder an evictee's undo
-	// ahead of its replacement's); they are flushed once the undo pass
-	// completes, when checkpoint occupancy guarantees free frames.
-	pendingRestore map[coherence.Addr]restoredLine
 
 	// reqStore and wbStore back req and wb: the controller has at most
 	// one of each outstanding, so the TBEs are reused in place instead
 	// of allocated per transaction.
 	reqStore reqTBE
 	wbStore  wbTBE
-}
-
-type restoredLine struct {
-	state   uint8
-	version uint64
-}
-
-// logLine records the old value of the node's L2 line for addr in the
-// checkpoint log; call before any mutation of that line.
-func (c *cacheCtrl) logLine(addr coherence.Addr) {
-	if c.p.log == nil {
-		return
-	}
-	var old cache.Line
-	present := false
-	if l := c.l2.Peek(addr); l != nil {
-		old = *l
-		present = true
-	}
-	node := int(c.node)
-	c.p.log.LogOldValue(node, uint64(addr)|1, func() {
-		c.restoreLine(addr, present, old.State, old.Version)
-	})
-}
-
-func (c *cacheCtrl) restoreLine(addr coherence.Addr, present bool, state uint8, version uint64) {
-	c.l1.Invalidate(addr)
-	if !present {
-		delete(c.pendingRestore, addr)
-		c.l2.Invalidate(addr)
-		return
-	}
-	if l := c.l2.Peek(addr); l != nil {
-		delete(c.pendingRestore, addr)
-		l.State = state
-		l.Version = version
-		return
-	}
-	f := c.l2.Victim(addr, func(*cache.Line) bool { return false })
-	if f == nil || f.Valid {
-		// The set is transiently over-full mid-rollback; park the
-		// install until the undo pass finishes (flushPendingRestores).
-		c.pendingRestore[addr] = restoredLine{state: state, version: version}
-		return
-	}
-	delete(c.pendingRestore, addr)
-	c.l2.Install(f, addr, state, version)
-}
-
-// flushPendingRestores completes deferred rollback installs. After the
-// full undo pass every set holds exactly its checkpoint contents minus
-// the deferred lines, so a free frame is guaranteed for each.
-func (c *cacheCtrl) flushPendingRestores() {
-	// Install in address order: frame choice and LRU rank depend on
-	// install order, so flushing in map order would leave the cache in
-	// a different (replay-divergent) state on every run.
-	addrs := make([]coherence.Addr, 0, len(c.pendingRestore))
-	for addr := range c.pendingRestore {
-		addrs = append(addrs, addr)
-	}
-	slices.Sort(addrs)
-	for _, addr := range addrs {
-		rl := c.pendingRestore[addr]
-		f := c.l2.Victim(addr, func(*cache.Line) bool { return false })
-		if f == nil || f.Valid {
-			panic(fmt.Sprintf("directory: set still full flushing restore of %#x at node %d", uint64(addr), c.node))
-		}
-		c.l2.Install(f, addr, rl.state, rl.version)
-	}
-	clear(c.pendingRestore)
 }
 
 func (c *cacheCtrl) access(addr coherence.Addr, kind coherence.AccessType, done func()) {
@@ -594,29 +500,20 @@ func (c *cacheCtrl) access(addr coherence.Addr, kind coherence.AccessType, done 
 		c.parked = append(c.parked, parkedAccess{addr, kind, done})
 		return
 	}
-	line := c.l2.Lookup(addr)
+	line := c.L2.Lookup(addr)
 	if line != nil {
-		st := CState(line.State)
-		hit := kind == coherence.Load || st == CM
-		if hit {
-			lat := c.p.cfg.L2Latency
-			if c.l1.Lookup(addr) != nil {
+		if lat, l1, ok := c.Hit(line, kind == coherence.Store); ok {
+			if l1 {
 				c.st.L1Hits.Inc()
-				lat = c.p.cfg.L1Latency
 			} else {
 				c.st.L2Hits.Inc()
-				c.installL1(addr)
-			}
-			if kind == coherence.Store {
-				c.logLine(addr)
-				line.Version++
 			}
 			c.p.doneAfter(c.node, lat, done)
 			return
 		}
 		// Store to S or O: upgrade.
 		from := CSMad
-		if st == CO {
+		if CState(line.State) == CO {
 			from = COMad
 		}
 		c.startRequest(addr, coherence.GetM, from, true, done)
@@ -627,12 +524,6 @@ func (c *cacheCtrl) access(addr coherence.Addr, kind coherence.AccessType, done 
 		c.startRequest(addr, coherence.GetS, CISd, false, done)
 	} else {
 		c.startRequest(addr, coherence.GetM, CIMad, true, done)
-	}
-}
-
-func (c *cacheCtrl) installL1(addr coherence.Addr) {
-	if f := c.l1.Victim(addr, nil); f != nil {
-		c.l1.Install(f, addr, 0, 0)
 	}
 }
 
@@ -687,7 +578,7 @@ func (c *cacheCtrl) handleData(msg coherence.Msg) bool {
 	// this very transaction, so no forward can observe it early). If a
 	// frame requires a writeback and the writeback TBE is occupied, the
 	// message waits in the ingress queue — nothing is mutated.
-	if c.l2.Peek(t.addr) == nil && !c.canAcquireFrame(t.addr) {
+	if c.L2.Peek(t.addr) == nil && !c.CanFill(t.addr, c.wb == nil) {
 		return false
 	}
 	t.gotData = true
@@ -695,7 +586,7 @@ func (c *cacheCtrl) handleData(msg coherence.Msg) bool {
 	t.version = msg.Version
 	// An upgrading sharer/owner already holds the freshest data; never
 	// let a stale memory copy roll the version back.
-	if l := c.l2.Peek(msg.Addr); l != nil && l.Version > t.version {
+	if l := c.L2.Peek(msg.Addr); l != nil && l.Version > t.version {
 		t.version = l.Version
 	}
 	c.installLine()
@@ -728,19 +619,6 @@ func (c *cacheCtrl) handleAck(msg coherence.Msg) {
 	}
 }
 
-// canAcquireFrame reports whether acquireFrame would succeed, without
-// side effects.
-func (c *cacheCtrl) canAcquireFrame(addr coherence.Addr) bool {
-	v := c.l2.Victim(addr, nil)
-	if v == nil {
-		return false
-	}
-	if !v.Valid || CState(v.State) == CS {
-		return true
-	}
-	return c.wb == nil
-}
-
 // installLine places the transaction's block in the array in its final
 // stable state (data has arrived; acks may still be outstanding, but no
 // other agent can observe the line because the directory is busy with
@@ -751,33 +629,22 @@ func (c *cacheCtrl) installLine() {
 	if t.isStore {
 		st = CM
 	}
-	if line := c.l2.Peek(t.addr); line != nil {
-		c.logLine(t.addr)
-		line.State = uint8(st)
-		line.Version = t.version
-		return
-	}
-	f, ok := c.acquireFrame(t.addr)
-	if !ok {
-		panic("directory: installLine without a frame (canAcquireFrame lied)")
-	}
-	c.logLine(t.addr)
-	c.l2.Install(f, t.addr, uint8(st), t.version)
+	c.Fill(t.addr, uint8(st), t.version, c.startWriteback)
 }
 
 // finishRequest retires the access: bumps the version for stores,
 // releases the directory with a FinalAck and calls the processor back.
 func (c *cacheCtrl) finishRequest() {
 	t := c.req
-	line := c.l2.Peek(t.addr)
+	line := c.L2.Peek(t.addr)
 	if line == nil {
 		panic("directory: finishing a request with no line installed")
 	}
 	if t.isStore {
-		c.logLine(t.addr)
+		c.LogLine(t.addr)
 		line.Version++ // the store itself produces a new version
 	}
-	c.installL1(t.addr)
+	c.FillL1(t.addr)
 	c.p.send(coherence.Msg{Kind: coherence.FinalAck, Addr: t.addr, From: c.node, TID: t.tid}, c.p.Home(t.addr))
 	c.st.MissLatency.Observe(uint64(c.k.Now() - t.start))
 	done := t.done
@@ -788,40 +655,15 @@ func (c *cacheCtrl) finishRequest() {
 	}
 }
 
-// acquireFrame finds (or frees, by starting a writeback) an L2 frame
-// for addr. ok==false means the writeback TBE is occupied and the
-// caller must retry later.
-func (c *cacheCtrl) acquireFrame(addr coherence.Addr) (*cache.Line, bool) {
-	v := c.l2.Victim(addr, nil)
-	if v == nil {
-		panic("directory: no victim in a fully stable set")
-	}
-	if !v.Valid {
-		return v, true
-	}
-	switch CState(v.State) {
-	case CS:
-		c.logLine(v.Addr)
-		c.l1.Invalidate(v.Addr)
-		v.Valid = false // silent eviction
-		return v, true
-	case CM, CO:
-		if c.wb != nil {
-			return nil, false
-		}
-		c.startWriteback(v)
-		return v, true
-	default:
-		panic("directory: transient state in cache array")
-	}
-}
-
+// startWriteback evicts the M or O line v, which Fill chose as its
+// victim: the writeback TBE holds its data until the WBAck.
 func (c *cacheCtrl) startWriteback(v *cache.Line) {
+	if c.wb != nil {
+		panic("directory: victim writeback with the writeback TBE busy (CanFill lied)")
+	}
 	c.st.Writebacks.Inc()
 	addr, ver := v.Addr, v.Version
-	c.logLine(addr)
-	c.l1.Invalidate(addr)
-	v.Valid = false
+	c.Drop(addr)
 	served := c.wbStore.served
 	if served == nil {
 		served = make(map[uint64]bool)
@@ -861,9 +703,7 @@ func (c *cacheCtrl) handleInv(msg coherence.Msg) {
 			return
 		case CSMad:
 			// Our S copy is invalidated mid-upgrade.
-			c.logLine(msg.Addr)
-			c.l1.Invalidate(msg.Addr)
-			c.l2.Invalidate(msg.Addr)
+			c.Drop(msg.Addr)
 			t.state = CIMad
 			ack()
 			return
@@ -889,16 +729,14 @@ func (c *cacheCtrl) handleInv(msg coherence.Msg) {
 		ack()
 		return
 	}
-	line := c.l2.Peek(msg.Addr)
+	line := c.L2.Peek(msg.Addr)
 	if line == nil {
 		ack() // stale Inv after silent eviction
 		return
 	}
 	switch CState(line.State) {
 	case CS:
-		c.logLine(msg.Addr)
-		c.l1.Invalidate(msg.Addr)
-		line.Valid = false
+		c.Drop(msg.Addr)
 		ack()
 	default:
 		c.unspecifiedCache(CState(line.State), EvInv, msg)
@@ -938,20 +776,18 @@ func (c *cacheCtrl) handleFwd(msg coherence.Msg) {
 	}
 	// Owner upgrade in flight (OM_AD still holds the O line).
 	if t := c.req; t != nil && t.addr == msg.Addr && t.state == COMad {
-		line := c.l2.Peek(msg.Addr)
+		line := c.L2.Peek(msg.Addr)
 		if line == nil {
 			panic("directory: OM_AD without an O line")
 		}
 		sendData(line.Version)
 		if ev == EvFwdGetM {
-			c.logLine(msg.Addr)
-			c.l1.Invalidate(msg.Addr)
-			line.Valid = false
+			c.Drop(msg.Addr)
 			t.state = CIMad
 		}
 		return
 	}
-	line := c.l2.Peek(msg.Addr)
+	line := c.L2.Peek(msg.Addr)
 	if line == nil {
 		// THE detection point (paper §3.1): a cache without a valid
 		// copy receives a forwarded request. Under the Spec variant the
@@ -967,15 +803,14 @@ func (c *cacheCtrl) handleFwd(msg coherence.Msg) {
 	switch CState(line.State) {
 	case CM, CO:
 		sendData(line.Version)
-		c.logLine(msg.Addr)
 		if ev == EvFwdGetS {
+			c.LogLine(msg.Addr)
 			line.State = uint8(CO)
 			// The line survives and may be evicted while this forward's
 			// transaction is still busy; remember we served it.
 			c.servedStable[msg.Addr] = msg.TID
 		} else {
-			c.l1.Invalidate(msg.Addr)
-			line.Valid = false
+			c.Drop(msg.Addr)
 		}
 	default:
 		c.unspecifiedCache(CState(line.State), ev, msg)
@@ -1021,7 +856,7 @@ func (c *cacheCtrl) stateOf(addr coherence.Addr) CState {
 	if c.wb != nil && c.wb.addr == addr {
 		return c.wb.state
 	}
-	if l := c.l2.Peek(addr); l != nil {
+	if l := c.L2.Peek(addr); l != nil {
 		return CState(l.State)
 	}
 	return CInv

@@ -21,7 +21,11 @@
 // virtual network).
 package directory
 
-import "fmt"
+import (
+	"fmt"
+
+	"specsimp/internal/mem"
+)
 
 // Variant selects the full or the speculatively simplified protocol.
 type Variant uint8
@@ -46,21 +50,22 @@ func (v Variant) String() string {
 // array; transients live in TBEs).
 type CState uint8
 
-// Cache controller states.
+// Cache controller states. The stable states, the only ones a cache
+// array holds, take their values from mem's MOSI numbering.
 const (
-	CInv CState = iota // I
-	CS                 // S: shared, clean
-	CO                 // O: owned, dirty, sharers may exist
-	CM                 // M: modified, exclusive
+	CInv CState = mem.I // I
+	CS   CState = mem.S // S: shared, clean
+	CO   CState = mem.O // O: owned, dirty, sharers may exist
+	CM   CState = mem.M // M: modified, exclusive
 
 	// Request TBE states.
-	CISd  // IS_D: GetS issued, awaiting Data
-	CIMad // IM_AD: GetM issued, awaiting Data and acks
-	CIMa  // IM_A: Data received, awaiting acks
-	CSMad // SM_AD: upgrade from S, awaiting Data and acks
-	CSMa  // SM_A
-	COMad // OM_AD: upgrade from O (still owner), awaiting ack count
-	COMa  // OM_A
+	CISd  CState = iota // IS_D: GetS issued, awaiting Data
+	CIMad               // IM_AD: GetM issued, awaiting Data and acks
+	CIMa                // IM_A: Data received, awaiting acks
+	CSMad               // SM_AD: upgrade from S, awaiting Data and acks
+	CSMa                // SM_A
+	COMad               // OM_AD: upgrade from O (still owner), awaiting ack count
+	COMa                // OM_A
 
 	// Writeback TBE states.
 	CWBa // WB_A: PutM issued, still owner until WBAck

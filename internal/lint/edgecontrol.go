@@ -7,11 +7,12 @@ import (
 )
 
 // edgecontrolScope lists the shard-partitioned packages (by path
-// segment): the ones PR 5 re-homed onto per-shard kernels, where all
-// cross-shard mutation must flow through boundary queues or edge
-// control (sim.Shards At/After).
+// segment): the ones whose components run on per-shard kernels (mem's
+// hierarchies are the cache controllers' state), where all cross-shard
+// mutation must flow through boundary queues or edge control
+// (sim.Shards At/After).
 var edgecontrolScope = []string{
-	"sim", "network", "directory", "snoop", "processor", "system", "safetynet",
+	"sim", "network", "directory", "snoop", "mem", "processor", "system", "safetynet",
 }
 
 // EdgeControl flags new package-level mutable state — non-const

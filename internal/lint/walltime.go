@@ -11,7 +11,7 @@ import (
 // runner is included because artifact naming and emission must be
 // byte-reproducible under a fixed -run-id.
 var walltimeScope = []string{
-	"sim", "network", "directory", "snoop", "processor", "system",
+	"sim", "network", "directory", "snoop", "mem", "processor", "system",
 	"safetynet", "explore", "workload", "experiments", "runner",
 	"campaign",
 }

@@ -1,7 +1,10 @@
-// Package mem models main memory contents as per-block data versions.
-// A version is the simulator's stand-in for a block's value: every store
-// produces a new, strictly larger version, so stale data arriving
-// anywhere becomes detectable by comparison.
+// Package mem models a node's memory hierarchy: main memory contents as
+// per-block data versions (Store), and the L1/L2 cache pair with its
+// SafetyNet undo logging and rollback restore (Hier), which the
+// directory and snooping protocols share. A version is the simulator's
+// stand-in for a block's value: every store produces a new, strictly
+// larger version, so stale data arriving anywhere becomes detectable by
+// comparison.
 package mem
 
 import "specsimp/internal/coherence"

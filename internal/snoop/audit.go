@@ -2,10 +2,9 @@ package snoop
 
 import (
 	"fmt"
-	"slices"
 
-	"specsimp/internal/cache"
 	"specsimp/internal/coherence"
+	"specsimp/internal/mem"
 )
 
 // BlockVersion returns the globally current version of a block at a
@@ -13,14 +12,14 @@ import (
 func (p *Protocol) BlockVersion(a coherence.Addr) uint64 {
 	a = coherence.BlockAddr(a)
 	for _, c := range p.caches {
-		if l := c.l2.Peek(a); l != nil {
+		if l := c.L2.Peek(a); l != nil {
 			s := SState(l.State)
 			if s == SM || s == SO {
 				return l.Version
 			}
 		}
 	}
-	return p.mems[p.Home(a)].store.Read(a)
+	return p.mems[p.Home(a)].h.Mem.Read(a)
 }
 
 // CacheState returns the controller-visible state of a block at a node.
@@ -33,7 +32,7 @@ func (p *Protocol) CacheState(node coherence.NodeID, a coherence.Addr) SState {
 	if c.wb != nil && c.wb.addr == a {
 		return c.wb.state
 	}
-	if l := c.l2.Peek(a); l != nil {
+	if l := c.L2.Peek(a); l != nil {
 		return SState(l.State)
 	}
 	return SI
@@ -42,7 +41,7 @@ func (p *Protocol) CacheState(node coherence.NodeID, a coherence.Addr) SState {
 // MemVersion returns memory's copy of the block at its home node.
 func (p *Protocol) MemVersion(a coherence.Addr) uint64 {
 	a = coherence.BlockAddr(a)
-	return p.mems[p.Home(a)].store.Read(a)
+	return p.mems[p.Home(a)].h.Mem.Read(a)
 }
 
 // AuditInvariants verifies coherence invariants at a quiescent point:
@@ -53,73 +52,23 @@ func (p *Protocol) AuditInvariants() error {
 	if n := p.InFlight(); n != 0 {
 		return fmt.Errorf("audit requires quiescence; %d transactions in flight", n)
 	}
-	type copyInfo struct {
-		node    int
-		state   SState
-		version uint64
-	}
-	copies := make(map[coherence.Addr][]copyInfo)
+	hs := make([]*mem.Hier, len(p.caches))
 	for i, c := range p.caches {
-		i := i
-		c.l2.ForEach(func(l *cache.Line) {
-			copies[l.Addr] = append(copies[l.Addr], copyInfo{i, SState(l.State), l.Version})
-		})
+		hs[i] = &c.Hier
 	}
-	addrs := make(map[coherence.Addr]bool)
+	var tracked []coherence.Addr
 	for _, m := range p.mems {
 		for a := range m.owner {
-			addrs[a] = true
+			tracked = append(tracked, a)
 		}
 	}
-	for a := range copies {
-		addrs[a] = true
-	}
-	// Audit in address order so the first violation reported is the
-	// same on every run (map order would make failure messages — and
-	// replay triage — nondeterministic).
-	sorted := make([]coherence.Addr, 0, len(addrs))
-	for a := range addrs {
-		sorted = append(sorted, a)
-	}
-	slices.Sort(sorted)
-	for _, a := range sorted {
-		home := p.mems[p.Home(a)]
-		cs := copies[a]
-		owners := 0
-		ownerNode := -1
-		var version uint64
-		versionSet := false
-		for _, ci := range cs {
-			switch ci.state {
-			case SM, SO:
-				owners++
-				ownerNode = ci.node
-			case SS:
-			default:
-				return fmt.Errorf("block %#x: transient %s in array of node %d", uint64(a), ci.state, ci.node)
+	return mem.Audit(hs, tracked, p.MemVersion, func(a coherence.Addr, owner int, _ []mem.Copy) error {
+		if t := p.mems[p.Home(a)].ownerOf(a); t != owner {
+			if owner < 0 {
+				return fmt.Errorf("block %#x: memory tracks owner %d but no cache owns", uint64(a), t)
 			}
-			if versionSet && ci.version != version {
-				return fmt.Errorf("block %#x: version divergence (%d vs %d)", uint64(a), ci.version, version)
-			}
-			version, versionSet = ci.version, true
+			return fmt.Errorf("block %#x: memory tracks owner %d but node %d owns", uint64(a), t, owner)
 		}
-		if owners > 1 {
-			return fmt.Errorf("block %#x: %d owners", uint64(a), owners)
-		}
-		tracked := home.ownerOf(a)
-		if owners == 1 && tracked != ownerNode {
-			return fmt.Errorf("block %#x: memory tracks owner %d but node %d owns", uint64(a), tracked, ownerNode)
-		}
-		if owners == 0 && tracked != -1 {
-			return fmt.Errorf("block %#x: memory tracks owner %d but no cache owns", uint64(a), tracked)
-		}
-		memV := home.store.Read(a)
-		if versionSet && memV > version {
-			return fmt.Errorf("block %#x: memory %d newer than caches %d", uint64(a), memV, version)
-		}
-		if owners == 0 && versionSet && memV != version {
-			return fmt.Errorf("block %#x: unowned but memory %d != cached %d", uint64(a), memV, version)
-		}
-	}
-	return nil
+		return nil
+	})
 }

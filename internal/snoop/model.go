@@ -315,7 +315,7 @@ func (m *snoopModel) Encode(e *explore.Enc) {
 	}
 	for _, c := range m.p.caches {
 		e.U8(0xA0)
-		c.l2.ForEachSetLRU(func(set int, l *cache.Line) {
+		c.L2.ForEachSetLRU(func(set int, l *cache.Line) {
 			e.Int(set)
 			e.U64(uint64(l.Addr))
 			e.U8(l.State)
@@ -364,13 +364,13 @@ func (m *snoopModel) Encode(e *explore.Enc) {
 		}
 		e.U8(0xA3)
 		m.addrbuf = m.addrbuf[:0]
-		mc.store.ForEach(func(a coherence.Addr, v uint64) {
+		mc.h.Mem.ForEach(func(a coherence.Addr, v uint64) {
 			m.addrbuf = append(m.addrbuf, uint64(a))
 		})
 		sortU64s(m.addrbuf)
 		for _, a := range m.addrbuf {
 			e.U64(a)
-			e.U64(mc.store.Read(coherence.Addr(a)))
+			e.U64(mc.h.Mem.Read(coherence.Addr(a)))
 		}
 	}
 	m.keybuf = m.keybuf[:0]

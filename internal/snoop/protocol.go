@@ -2,7 +2,6 @@ package snoop
 
 import (
 	"fmt"
-	"slices"
 
 	"specsimp/internal/cache"
 	"specsimp/internal/coherence"
@@ -18,12 +17,7 @@ type Config struct {
 	Nodes   int
 	Variant Variant
 
-	L1Bytes, L1Ways int
-	L2Bytes, L2Ways int
-
-	L1Latency  sim.Time
-	L2Latency  sim.Time
-	MemLatency sim.Time
+	mem.CacheConfig
 
 	// TimeoutCycles arms the transaction-timeout watchdog (0 = off).
 	TimeoutCycles sim.Time
@@ -31,18 +25,7 @@ type Config struct {
 
 // DefaultConfig returns Table 2 parameters for n nodes.
 func DefaultConfig(n int, v Variant) Config {
-	return Config{
-		Nodes:   n,
-		Variant: v,
-		L1Bytes: 128 * 1024, L1Ways: 4,
-		L2Bytes: 4 * 1024 * 1024, L2Ways: 4,
-		L1Latency: 1, L2Latency: 12, MemLatency: 120,
-	}
-}
-
-// UndoLogger is the checkpointing hook (satisfied by *safetynet.Manager).
-type UndoLogger interface {
-	LogOldValue(node int, key uint64, undo func())
+	return Config{Nodes: n, Variant: v, CacheConfig: mem.DefaultCacheConfig()}
 }
 
 // Stats aggregates snooping protocol measurements.
@@ -65,7 +48,6 @@ type Protocol struct {
 	bus  AddressNet
 	data network.Fabric
 	cfg  Config
-	log  UndoLogger
 
 	// OnMisSpeculation handles a detected mis-speculation (the §3.2
 	// corner case under Spec). Nil panics.
@@ -136,23 +118,17 @@ func (p *Protocol) sendPooled(cm *coherence.Msg, to coherence.NodeID) {
 
 // New builds the protocol over a bus and a data fabric; it claims the
 // fabric's clients and attaches bus observers for every node.
-func New(k *sim.Kernel, bus AddressNet, data network.Fabric, cfg Config, log UndoLogger) *Protocol {
+func New(k *sim.Kernel, bus AddressNet, data network.Fabric, cfg Config, log mem.UndoLogger) *Protocol {
 	if cfg.Nodes != data.NumNodes() {
 		panic("snoop: node count differs from data network size")
 	}
-	p := &Protocol{k: k, bus: bus, data: data, cfg: cfg, log: log}
+	p := &Protocol{k: k, bus: bus, data: data, cfg: cfg}
 	p.caches = make([]*sCacheCtrl, cfg.Nodes)
 	p.mems = make([]*memCtrl, cfg.Nodes)
 	for i := 0; i < cfg.Nodes; i++ {
 		i := i
-		c := &sCacheCtrl{
-			p:              p,
-			node:           coherence.NodeID(i),
-			l1:             cache.New(cfg.L1Bytes, cfg.L1Ways),
-			l2:             cache.New(cfg.L2Bytes, cfg.L2Ways),
-			pendingRestore: make(map[coherence.Addr]restoredLine),
-		}
-		m := &memCtrl{p: p, node: coherence.NodeID(i), store: mem.NewStore(), owner: make(map[coherence.Addr]int)}
+		c := &sCacheCtrl{Hier: mem.NewHier(i, cfg.CacheConfig, log), p: p, node: coherence.NodeID(i)}
+		m := &memCtrl{p: p, node: coherence.NodeID(i), h: &c.Hier, owner: make(map[coherence.Addr]int)}
 		p.caches[i] = c
 		p.mems[i] = m
 		bus.Attach(c)
@@ -206,12 +182,11 @@ func (p *Protocol) InFlight() int {
 func (p *Protocol) ResetTransients() {
 	p.epoch++
 	for _, c := range p.caches {
-		c.flushPendingRestores()
+		c.FinishRollback()
 		c.req = nil
 		c.reqStore.done = nil // drop the callback reference with the TBE
 		c.wb = nil
 		c.parked = nil
-		c.l1.Clear()
 	}
 }
 
@@ -301,84 +276,18 @@ type sParked struct {
 }
 
 type sCacheCtrl struct {
+	mem.Hier // the node's L1/L2 pair and memory slice
+
 	p      *Protocol
 	node   coherence.NodeID
-	l1, l2 *cache.Cache
 	req    *sReqTBE
 	wb     *sWbTBE
 	parked []sParked
-	// pendingRestore parks rollback installs whose set is transiently
-	// over-full mid-undo (see the directory package for the argument);
-	// flushed in ResetTransients once the undo pass completes.
-	pendingRestore map[coherence.Addr]restoredLine
 
 	// reqStore and wbStore back req and wb: at most one of each is
 	// outstanding per controller, so the TBEs are reused in place.
 	reqStore sReqTBE
 	wbStore  sWbTBE
-}
-
-type restoredLine struct {
-	state   uint8
-	version uint64
-}
-
-func (c *sCacheCtrl) logLine(addr coherence.Addr) {
-	if c.p.log == nil {
-		return
-	}
-	var old cache.Line
-	present := false
-	if l := c.l2.Peek(addr); l != nil {
-		old = *l
-		present = true
-	}
-	node := int(c.node)
-	c.p.log.LogOldValue(node, uint64(addr)|1, func() {
-		c.restoreLine(addr, present, old.State, old.Version)
-	})
-}
-
-func (c *sCacheCtrl) restoreLine(addr coherence.Addr, present bool, state uint8, version uint64) {
-	c.l1.Invalidate(addr)
-	if !present {
-		delete(c.pendingRestore, addr)
-		c.l2.Invalidate(addr)
-		return
-	}
-	if l := c.l2.Peek(addr); l != nil {
-		delete(c.pendingRestore, addr)
-		l.State = state
-		l.Version = version
-		return
-	}
-	f := c.l2.Victim(addr, func(*cache.Line) bool { return false })
-	if f == nil || f.Valid {
-		c.pendingRestore[addr] = restoredLine{state: state, version: version}
-		return
-	}
-	delete(c.pendingRestore, addr)
-	c.l2.Install(f, addr, state, version)
-}
-
-func (c *sCacheCtrl) flushPendingRestores() {
-	// Install in address order: frame choice and LRU rank depend on
-	// install order, so flushing in map order would leave the cache in
-	// a different (replay-divergent) state on every run.
-	addrs := make([]coherence.Addr, 0, len(c.pendingRestore))
-	for addr := range c.pendingRestore {
-		addrs = append(addrs, addr)
-	}
-	slices.Sort(addrs)
-	for _, addr := range addrs {
-		rl := c.pendingRestore[addr]
-		f := c.l2.Victim(addr, func(*cache.Line) bool { return false })
-		if f == nil || f.Valid {
-			panic("snoop: set still full flushing checkpoint restore")
-		}
-		c.l2.Install(f, addr, rl.state, rl.version)
-	}
-	clear(c.pendingRestore)
 }
 
 func (c *sCacheCtrl) access(addr coherence.Addr, kind coherence.AccessType, done func()) {
@@ -394,28 +303,20 @@ func (c *sCacheCtrl) access(addr coherence.Addr, kind coherence.AccessType, done
 		c.parked = append(c.parked, sParked{addr, kind, done})
 		return
 	}
-	line := c.l2.Lookup(addr)
+	line := c.L2.Lookup(addr)
 	if line != nil {
-		st := SState(line.State)
-		if kind == coherence.Load || st == SM {
-			lat := c.p.cfg.L2Latency
-			if c.l1.Lookup(addr) != nil {
+		if lat, l1, ok := c.Hit(line, kind == coherence.Store); ok {
+			if l1 {
 				c.p.st.L1Hits.Inc()
-				lat = c.p.cfg.L1Latency
 			} else {
 				c.p.st.L2Hits.Inc()
-				c.installL1(addr)
-			}
-			if kind == coherence.Store {
-				c.logLine(addr)
-				line.Version++
 			}
 			c.p.doneAfter(lat, done)
 			return
 		}
 		// Store upgrade.
 		st2 := SIMad
-		if st == SO {
+		if SState(line.State) == SO {
 			st2 = SOMad
 		}
 		c.startRequest(addr, coherence.SnoopGetM, st2, true, done)
@@ -425,12 +326,6 @@ func (c *sCacheCtrl) access(addr coherence.Addr, kind coherence.AccessType, done
 		c.startRequest(addr, coherence.SnoopGetS, SISad, false, done)
 	} else {
 		c.startRequest(addr, coherence.SnoopGetM, SIMad, true, done)
-	}
-}
-
-func (c *sCacheCtrl) installL1(addr coherence.Addr) {
-	if f := c.l1.Victim(addr, nil); f != nil {
-		c.l1.Install(f, addr, 0, 0)
 	}
 }
 
@@ -449,15 +344,13 @@ func (c *sCacheCtrl) flush(addr coherence.Addr) bool {
 	if c.wb != nil {
 		return false
 	}
-	line := c.l2.Peek(addr)
+	line := c.L2.Peek(addr)
 	if line == nil {
 		return false
 	}
 	switch SState(line.State) {
 	case SS:
-		c.logLine(addr)
-		c.l1.Invalidate(addr)
-		line.Valid = false
+		c.Drop(addr)
 		return true
 	case SM, SO:
 		c.startWriteback(line)
@@ -469,9 +362,7 @@ func (c *sCacheCtrl) flush(addr coherence.Addr) bool {
 func (c *sCacheCtrl) startWriteback(v *cache.Line) {
 	c.p.st.Writebacks.Inc()
 	addr, ver := v.Addr, v.Version
-	c.logLine(addr)
-	c.l1.Invalidate(addr)
-	v.Valid = false
+	c.Drop(addr)
 	c.wbStore = sWbTBE{addr: addr, state: SWBa, version: ver, start: c.p.k.Now()}
 	c.wb = &c.wbStore
 	c.p.bus.Submit(coherence.Msg{Kind: coherence.SnoopPutM, Addr: addr, From: c.node, Version: ver})
@@ -534,11 +425,11 @@ func (c *sCacheCtrl) ownGetM(msg coherence.Msg) {
 	case SOMad:
 		// Still owner: the upgrade completes at the order point with
 		// our own data; no one will supply.
-		line := c.l2.Peek(t.addr)
+		line := c.L2.Peek(t.addr)
 		if line == nil {
 			panic("snoop: OM_AD without an O line")
 		}
-		c.logLine(t.addr)
+		c.LogLine(t.addr)
 		line.State = uint8(SM)
 		line.Version++
 		c.finish(t)
@@ -573,20 +464,20 @@ func (c *sCacheCtrl) foreignGetS(msg coherence.Msg) {
 			}
 			return
 		case SOMad:
-			line := c.l2.Peek(a)
+			line := c.L2.Peek(a)
 			c.supply(msg.From, a, line.Version)
 			return
 		}
 		// IS_AD / IS_D / IM_AD: someone else supplies.
 	}
-	line := c.l2.Peek(a)
+	line := c.L2.Peek(a)
 	if line == nil {
 		return
 	}
 	switch SState(line.State) {
 	case SM:
 		c.supply(msg.From, a, line.Version)
-		c.logLine(a)
+		c.LogLine(a)
 		line.State = uint8(SO)
 	case SO:
 		c.supply(msg.From, a, line.Version)
@@ -624,11 +515,8 @@ func (c *sCacheCtrl) foreignGetM(msg coherence.Msg) {
 			}
 			return
 		case SOMad:
-			line := c.l2.Peek(a)
-			c.supply(msg.From, a, line.Version)
-			c.logLine(a)
-			c.l1.Invalidate(a)
-			line.Valid = false
+			c.supply(msg.From, a, c.L2.Peek(a).Version)
+			c.Drop(a)
 			t.state = SIMad
 			return
 		case SISd:
@@ -640,28 +528,22 @@ func (c *sCacheCtrl) foreignGetM(msg coherence.Msg) {
 			return
 		}
 	}
-	line := c.l2.Peek(a)
+	line := c.L2.Peek(a)
 	if line == nil {
 		return
 	}
 	switch SState(line.State) {
 	case SS:
-		c.logLine(a)
-		c.l1.Invalidate(a)
-		line.Valid = false
+		c.Drop(a)
 	case SM, SO:
 		c.supply(msg.From, a, line.Version)
-		c.logLine(a)
-		c.l1.Invalidate(a)
-		line.Valid = false
+		c.Drop(a)
 	}
 }
 
 func (c *sCacheCtrl) invalidateIfPresent(a coherence.Addr) {
-	if line := c.l2.Peek(a); line != nil {
-		c.logLine(a)
-		c.l1.Invalidate(a)
-		line.Valid = false
+	if c.L2.Peek(a) != nil {
+		c.Drop(a)
 	}
 }
 
@@ -686,28 +568,27 @@ func (c *sCacheCtrl) handleData(msg coherence.Msg) bool {
 			c.finish(t)
 			return true
 		}
-		if c.l2.Peek(t.addr) == nil && !c.canAcquireFrame() {
+		if c.L2.Peek(t.addr) == nil && !c.CanFill(t.addr, c.wb == nil) {
 			return false
 		}
 		c.installStable(t.addr, SS, msg.Version)
 		c.finish(t)
 	case SIMd:
-		if c.l2.Peek(t.addr) == nil && !c.canAcquireFrame() {
+		if c.L2.Peek(t.addr) == nil && !c.CanFill(t.addr, c.wb == nil) {
 			return false
 		}
 		c.installStable(t.addr, SM, msg.Version+1) // +1: the store itself
-		line := c.l2.Peek(t.addr)
+		line := c.L2.Peek(t.addr)
 		// Serve supply obligations queued while awaiting data, in bus
 		// order; a GetM obligation ends our ownership.
 		for _, ob := range t.obs {
 			c.p.st.ObligationsServed.Inc()
 			c.supply(ob.node, t.addr, line.Version)
-			c.logLine(t.addr)
 			if ob.isGetM {
-				c.l1.Invalidate(t.addr)
-				line.Valid = false
+				c.Drop(t.addr)
 				break
 			}
+			c.LogLine(t.addr)
 			line.State = uint8(SO)
 		}
 		c.finish(t)
@@ -717,40 +598,12 @@ func (c *sCacheCtrl) handleData(msg coherence.Msg) bool {
 	return true
 }
 
-func (c *sCacheCtrl) canAcquireFrame() bool {
-	v := c.l2.Victim(c.req.addr, nil)
-	if v == nil {
-		return false
-	}
-	if !v.Valid || SState(v.State) == SS {
-		return true
-	}
-	return c.wb == nil
-}
-
+// installStable places the transaction's block in the L2, writing back
+// an M or O victim, and a newly placed block in the L1 too.
 func (c *sCacheCtrl) installStable(a coherence.Addr, st SState, version uint64) {
-	if line := c.l2.Peek(a); line != nil {
-		c.logLine(a)
-		line.State = uint8(st)
-		line.Version = version
-		return
+	if c.Fill(a, uint8(st), version, c.startWriteback) {
+		c.FillL1(a)
 	}
-	v := c.l2.Victim(a, nil)
-	if v.Valid {
-		switch SState(v.State) {
-		case SS:
-			c.logLine(v.Addr)
-			c.l1.Invalidate(v.Addr)
-			v.Valid = false
-		case SM, SO:
-			c.startWriteback(v)
-		default:
-			panic("snoop: transient state in array")
-		}
-	}
-	c.logLine(a)
-	c.l2.Install(v, a, uint8(st), version)
-	c.installL1(a)
 }
 
 func (c *sCacheCtrl) finish(t *sReqTBE) {
@@ -770,30 +623,22 @@ func (c *sCacheCtrl) finish(t *sReqTBE) {
 type memCtrl struct {
 	p     *Protocol
 	node  coherence.NodeID
-	store *mem.Store
+	h     *mem.Hier              // the node's hierarchy, for its memory slice and undo log
 	owner map[coherence.Addr]int // -1 or absent: memory owns
 }
 
 func (m *memCtrl) logOwner(a coherence.Addr) {
-	if m.p.log == nil {
+	if !m.h.Logging() {
 		return
 	}
 	old, had := m.owner[a]
-	m.p.log.LogOldValue(int(m.node), uint64(a)|4, func() {
+	m.h.Undo(mem.TagOwner, a, func() {
 		if had {
 			m.owner[a] = old
 		} else {
 			delete(m.owner, a)
 		}
 	})
-}
-
-func (m *memCtrl) logMem(a coherence.Addr) {
-	if m.p.log == nil {
-		return
-	}
-	old := m.store.Read(a)
-	m.p.log.LogOldValue(int(m.node), uint64(a)|2, func() { m.store.Write(a, old) })
 }
 
 func (m *memCtrl) ownerOf(a coherence.Addr) int {
@@ -826,16 +671,15 @@ func (m *memCtrl) OnOrdered(_ uint64, msg coherence.Msg) {
 	case coherence.SnoopPutM:
 		if m.ownerOf(a) == int(msg.From) {
 			m.logOwner(a)
-			m.logMem(a)
 			delete(m.owner, a)
-			m.store.Write(a, msg.Version)
+			m.h.WriteMem(a, msg.Version)
 		}
 		// Stale PutM from a long-gone owner: ignore.
 	}
 }
 
 func (m *memCtrl) supply(to coherence.NodeID, a coherence.Addr) {
-	version := m.store.Read(a)
+	version := m.h.Mem.Read(a)
 	m.p.sendAfter(m.p.cfg.MemLatency,
 		coherence.Msg{Kind: coherence.Data, Addr: a, From: m.node, Requestor: to, Version: version}, to)
 }

@@ -1,6 +1,10 @@
 package snoop
 
-import "fmt"
+import (
+	"fmt"
+
+	"specsimp/internal/mem"
+)
 
 // Variant selects the full or speculatively simplified snooping protocol.
 type Variant uint8
@@ -24,17 +28,19 @@ func (v Variant) String() string {
 type SState uint8
 
 // Snooping cache states. Ownership and obligations bind at bus order.
+// The stable states, the only ones a cache array holds, take their
+// values from mem's MOSI numbering.
 const (
-	SI SState = iota
-	SS
-	SO
-	SM
+	SI SState = mem.I
+	SS SState = mem.S
+	SO SState = mem.O
+	SM SState = mem.M
 
-	SISad // GetS issued, awaiting own order
-	SISd  // own GetS ordered, awaiting data
-	SIMad // GetM issued, awaiting own order (covers upgrades from S)
-	SIMd  // own GetM ordered, awaiting data; queues supply obligations
-	SOMad // GetM issued while owner (O); serves forwards meanwhile
+	SISad SState = iota // GetS issued, awaiting own order
+	SISd                // own GetS ordered, awaiting data
+	SIMad               // GetM issued, awaiting own order (covers upgrades from S)
+	SIMd                // own GetM ordered, awaiting data; queues supply obligations
+	SOMad               // GetM issued while owner (O); serves forwards meanwhile
 
 	SWBa  // PutM issued from M/O, still owner until a foreign GetM or own order
 	SWBai // ownership transferred while PutM pending — the §3.2 transient

@@ -19,10 +19,10 @@ import (
 	"strings"
 	"time"
 
-	"specsimp"
 	"specsimp/internal/campaign"
 	"specsimp/internal/experiments"
 	"specsimp/internal/runner"
+	"specsimp/internal/workload"
 )
 
 // ExpUsage is the -exp flag's help text, generated from the experiment
@@ -75,9 +75,9 @@ func Run(args []string, w io.Writer) error {
 		return runCampaign(*campaignPath, *runID, *parallel, *abortAfter, explicit, w)
 	}
 
-	p := specsimp.StandardParams()
+	p := experiments.Standard()
 	if *quick {
-		p = specsimp.QuickParams()
+		p = experiments.Quick()
 	}
 	n, rows, cols, err := campaign.ParseShards(*shards)
 	if err != nil {
@@ -88,7 +88,7 @@ func Run(args []string, w io.Writer) error {
 		// An explicit -workload overrides every selected experiment's
 		// workload axis; left unset, each experiment keeps its declared
 		// default (checkpoint runs uniform, the rest oltp).
-		wl, err := specsimp.ResolveWorkload(*wlName)
+		wl, err := workload.Resolve(*wlName)
 		if err != nil {
 			return err
 		}

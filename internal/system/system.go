@@ -15,6 +15,7 @@ import (
 	"specsimp/internal/coherence"
 	"specsimp/internal/core"
 	"specsimp/internal/directory"
+	"specsimp/internal/mem"
 	"specsimp/internal/network"
 	"specsimp/internal/processor"
 	"specsimp/internal/safetynet"
@@ -225,6 +226,16 @@ func DefaultConfigSized(kind Kind, wl workload.Profile, w, h int) Config {
 	return cfg
 }
 
+// protocol is the system's view of the active coherence protocol, which
+// *directory.Protocol and *snoop.Protocol both satisfy.
+type protocol interface {
+	InFlight() int
+	AuditInvariants() error
+	ResetTransients()
+	TimeoutScan() (coherence.NodeID, bool)
+	NoteTimeout()
+}
+
 // control is the scheduling surface of all global control. *sim.Kernel
 // (the classic engine) and *sim.Shards (the tile engine's window-edge
 // control, where At and After round up to the next edge) both satisfy
@@ -247,6 +258,9 @@ type System struct {
 	Pool  *processor.Pool
 	Mgr   *safetynet.Manager
 	Coord *core.Coordinator
+
+	// proto is Dir or Snoop, whichever the machine runs.
+	proto protocol
 
 	// OnCheckpoint, when non-nil, runs immediately after every
 	// checkpoint is taken — a point where the system is quiesced (no
@@ -317,12 +331,7 @@ func (s *System) Shards() int {
 // invariants (single writer, version agreement, memory currency). The
 // system must be quiescent — call it from OnCheckpoint, or after a
 // drained run.
-func (s *System) AuditInvariants() error {
-	if s.Dir != nil {
-		return s.Dir.AuditInvariants()
-	}
-	return s.Snoop.AuditInvariants()
-}
+func (s *System) AuditInvariants() error { return s.proto.AuditInvariants() }
 
 // MaxSnoopNodes caps snooping systems on a flat bus: every ordered
 // request is broadcast to every node, so past this size the model
@@ -370,7 +379,7 @@ func ValidateConfig(cfg Config) error {
 			return fmt.Errorf("system: TimeoutCycles %d is shorter than CheckpointInterval %d — the watchdog would declare deadlock inside one normal checkpoint epoch; use a multiple of the interval (DefaultConfig derives 3×) or 0 to disarm", cfg.TimeoutCycles, cfg.CheckpointInterval)
 		}
 		dcfg := directoryConfigFor(cfg)
-		if err := validateCaches(dcfg.L1Bytes, dcfg.L1Ways, dcfg.L2Bytes, dcfg.L2Ways); err != nil {
+		if err := validateCaches(dcfg.CacheConfig); err != nil {
 			return err
 		}
 		return dcfg.Validate()
@@ -386,17 +395,16 @@ func ValidateConfig(cfg Config) error {
 			return err
 		}
 	}
-	scfg := snoopConfigFor(cfg)
-	return validateCaches(scfg.L1Bytes, scfg.L1Ways, scfg.L2Bytes, scfg.L2Ways)
+	return validateCaches(snoopConfigFor(cfg).CacheConfig)
 }
 
 // validateCaches reports an L1 or L2 geometry that cache.New would
 // refuse, naming the level.
-func validateCaches(l1Bytes, l1Ways, l2Bytes, l2Ways int) error {
-	if _, err := cache.Geometry(l1Bytes, l1Ways); err != nil {
+func validateCaches(c mem.CacheConfig) error {
+	if _, err := cache.Geometry(c.L1Bytes, c.L1Ways); err != nil {
 		return fmt.Errorf("system: L1 %w", err)
 	}
-	if _, err := cache.Geometry(l2Bytes, l2Ways); err != nil {
+	if _, err := cache.Geometry(c.L2Bytes, c.L2Ways); err != nil {
 		return fmt.Errorf("system: L2 %w", err)
 	}
 	return nil
@@ -516,7 +524,7 @@ func directoryConfigFor(cfg Config) directory.Config {
 	dcfg.SharerPointers = cfg.SharerPointers
 	dcfg.SharerClusterSize = cfg.SharerClusterSize
 	dcfg.TimeoutCycles = cfg.TimeoutCycles
-	overrideCaches(&dcfg.L1Bytes, &dcfg.L1Ways, &dcfg.L2Bytes, &dcfg.L2Ways, cfg)
+	overrideCaches(&dcfg.CacheConfig, cfg)
 	return dcfg
 }
 
@@ -529,7 +537,7 @@ func snoopConfigFor(cfg Config) snoop.Config {
 	}
 	scfg := snoop.DefaultConfig(cfg.Nodes, v)
 	scfg.TimeoutCycles = cfg.TimeoutCycles
-	overrideCaches(&scfg.L1Bytes, &scfg.L1Ways, &scfg.L2Bytes, &scfg.L2Ways, cfg)
+	overrideCaches(&scfg.CacheConfig, cfg)
 	return scfg
 }
 
@@ -587,7 +595,7 @@ func BuildChecked(cfg Config) (*System, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.Dir = dir
+		s.Dir, s.proto = dir, dir
 		if s.sh != nil {
 			dir.PartitionOnShards(s.sh.grp, s.sh.shardOf)
 			dir.OnMisSpeculation = s.deferMisSpeculation
@@ -598,6 +606,7 @@ func BuildChecked(cfg Config) (*System, error) {
 	default:
 		s.Bus = snoop.NewBus(k, cfg.Bus)
 		s.Snoop = snoop.New(k, s.Bus, net, snoopConfigFor(cfg), mgr)
+		s.proto = s.Snoop
 		s.Snoop.OnMisSpeculation = func(reason string) { coord.TriggerMisSpeculation(reason) }
 		access = s.Snoop.Access
 	}
@@ -617,11 +626,8 @@ func BuildChecked(cfg Config) (*System, error) {
 	// Recovery wiring (framework features 3 and 4).
 	coord.ResetFn = func() {
 		net.Reset()
-		if s.Dir != nil {
-			s.Dir.ResetTransients()
-		}
-		if s.Snoop != nil {
-			s.Snoop.ResetTransients()
+		s.proto.ResetTransients()
+		if s.Bus != nil {
 			s.Bus.Reset()
 		}
 	}
@@ -718,12 +724,6 @@ func (s *System) Start() {
 	s.startFaults()
 }
 
-// timeoutScanner is the watchdog's view of the active protocol.
-type timeoutScanner interface {
-	TimeoutScan() (coherence.NodeID, bool)
-	NoteTimeout()
-}
-
 // startWatchdog arms the §4 transaction-timeout deadlock detector: every
 // quarter checkpoint interval (at least one cycle) it scans the active
 // protocol's transactions and recovers if any has been outstanding
@@ -733,18 +733,14 @@ func (s *System) startWatchdog() {
 	if s.Cfg.TimeoutCycles == 0 {
 		return
 	}
-	var p timeoutScanner = s.Snoop
-	if s.Dir != nil {
-		p = s.Dir
-	}
 	period := s.Cfg.CheckpointInterval / 4
 	if period < 1 {
 		period = 1
 	}
 	var tick func()
 	tick = func() {
-		if _, ok := p.TimeoutScan(); ok {
-			p.NoteTimeout()
+		if _, ok := s.proto.TimeoutScan(); ok {
+			s.proto.NoteTimeout()
 			s.Coord.TriggerMisSpeculation("deadlock-timeout")
 		}
 		s.ctl.After(period, tick)
@@ -955,14 +951,7 @@ func applyLogBytes(sn *safetynet.Config, cfg Config) {
 }
 
 func (s *System) inFlight() int {
-	n := s.Net.InFlight()
-	if s.Dir != nil {
-		n += s.Dir.InFlight()
-	}
-	if s.Snoop != nil {
-		n += s.Snoop.InFlight()
-	}
-	return n
+	return s.Net.InFlight() + s.proto.InFlight()
 }
 
 // Run executes the system for the given number of cycles (after Start)
@@ -1131,18 +1120,19 @@ func RunOneChecked(cfg Config, cycles sim.Time) (Results, error) {
 	return s.Run(cycles), nil
 }
 
-func overrideCaches(l1b, l1w, l2b, l2w *int, cfg Config) {
+// overrideCaches applies cfg's nonzero cache geometry overrides to c.
+func overrideCaches(c *mem.CacheConfig, cfg Config) {
 	if cfg.L1Bytes > 0 {
-		*l1b = cfg.L1Bytes
+		c.L1Bytes = cfg.L1Bytes
 	}
 	if cfg.L1Ways > 0 {
-		*l1w = cfg.L1Ways
+		c.L1Ways = cfg.L1Ways
 	}
 	if cfg.L2Bytes > 0 {
-		*l2b = cfg.L2Bytes
+		c.L2Bytes = cfg.L2Bytes
 	}
 	if cfg.L2Ways > 0 {
-		*l2w = cfg.L2Ways
+		c.L2Ways = cfg.L2Ways
 	}
 }
 

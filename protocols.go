@@ -26,9 +26,6 @@ const (
 	Store = coherence.Store
 )
 
-// BlockBytes is the coherence unit (64-byte blocks, paper Table 2).
-const BlockBytes = coherence.BlockBytes
-
 // Directory protocol (paper §3.1).
 type (
 	// DirectoryProtocol is the MOSI directory protocol instance.
@@ -45,35 +42,11 @@ const (
 	DirSpec = directory.Spec
 )
 
-// SharerFormat selects how directory entries represent their sharer
-// sets: an exact 64-bit bitmap (up to 64 nodes), limited pointers with
-// broadcast on overflow (Dir_i_B), or a coarse vector with one bit per
-// node cluster. See DESIGN.md "Directory entry formats".
-type SharerFormat = directory.SharerFormat
-
-// Sharer-set formats.
-const (
-	SharersFullBitmap     = directory.FullBitmap
-	SharersLimitedPointer = directory.LimitedPointer
-	SharersCoarseVector   = directory.CoarseVector
-)
-
-// DefaultSharerFormat picks the sharer-set format a node count needs:
-// exact bitmaps up to 64 nodes, limited pointers beyond.
-func DefaultSharerFormat(nodes int) SharerFormat { return directory.DefaultSharerFormat(nodes) }
-
 // NewDirectoryProtocol builds the directory protocol over a network
-// fabric. A nil logger disables checkpoint logging. It panics on an
-// invalid configuration; NewDirectoryProtocolChecked returns the error.
+// fabric, without checkpoint logging. It panics on an invalid
+// configuration.
 func NewDirectoryProtocol(k *Kernel, net *Network, cfg DirectoryConfig) *DirectoryProtocol {
 	return directory.New(k, net, cfg, nil)
-}
-
-// NewDirectoryProtocolChecked is NewDirectoryProtocol with configuration
-// errors (e.g. a node count the sharer-set format cannot represent)
-// returned instead of panicking.
-func NewDirectoryProtocolChecked(k *Kernel, net *Network, cfg DirectoryConfig) (*DirectoryProtocol, error) {
-	return directory.NewChecked(k, net, cfg, nil)
 }
 
 // DefaultDirectoryConfig returns paper Table 2 parameters.

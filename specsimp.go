@@ -9,8 +9,9 @@
 // MOSI directory and broadcast-snooping cache coherence protocols in
 // both "full" and "speculatively simplified" variants, a SafetyNet-style
 // global checkpoint/recovery service, blocking processors, and synthetic
-// commercial workloads — plus the full evaluation harness regenerating
-// every table and figure of the paper (see EXPERIMENTS.md).
+// commercial workloads. The evaluation harness that regenerates every
+// table and figure of the paper is the sweep command (see
+// EXPERIMENTS.md).
 //
 // # Quick start
 //
@@ -24,7 +25,6 @@ package specsimp
 
 import (
 	"specsimp/internal/core"
-	"specsimp/internal/experiments"
 	"specsimp/internal/network"
 	"specsimp/internal/sim"
 	"specsimp/internal/system"
@@ -67,27 +67,21 @@ const (
 // DefaultConfig returns the paper's Table 2 target system.
 func DefaultConfig(kind Kind, wl Workload) Config { return system.DefaultConfig(kind, wl) }
 
+// DefaultConfigSized returns the Table 2 system scaled to a w×h torus.
+// Directory systems scale to 32×32 (1024 nodes) — the sharer-set format
+// is picked from the geometry (exact bitmap up to 64 nodes,
+// limited-pointer with broadcast overflow beyond); snooping systems run
+// a flat bus to 64 nodes and the segmented address network to 256.
+func DefaultConfigSized(kind Kind, wl Workload, w, h int) Config {
+	return system.DefaultConfigSized(kind, wl, w, h)
+}
+
 // Build constructs a system from a config. It panics on an invalid
-// configuration; BuildChecked returns the error instead.
+// configuration.
 func Build(cfg Config) *System { return system.Build(cfg) }
-
-// BuildChecked constructs a system, reporting invalid configurations
-// (oversize machines, bad geometry) as errors before anything is built.
-func BuildChecked(cfg Config) (*System, error) { return system.BuildChecked(cfg) }
-
-// ValidateConfig checks a configuration without building it: network
-// geometry, the directory sharer-set format's node ceiling, and the
-// snooping size cap.
-func ValidateConfig(cfg Config) error { return system.ValidateConfig(cfg) }
 
 // RunOne builds, starts, and runs a system for the given cycles.
 func RunOne(cfg Config, cycles Time) Results { return system.RunOne(cfg, cycles) }
-
-// RunOneChecked is RunOne with configuration errors returned instead of
-// panicking — the sweep engine reports them per design point.
-func RunOneChecked(cfg Config, cycles Time) (Results, error) {
-	return system.RunOneChecked(cfg, cycles)
-}
 
 // ---- workloads (paper Table 3) ----
 
@@ -106,45 +100,12 @@ var (
 	Hotspot = workload.Hotspot
 )
 
-// The sharing-idiom streams (workload/idioms.go): pure sharing patterns
-// the protocols were not calibrated against.
-var (
-	MigratoryChain = workload.MigratoryChain
-	Ring           = workload.Ring
-	Scan           = workload.Scan
-	Broadcast      = workload.Broadcast
-)
-
 // WorkloadSuite is the paper's five evaluation workloads.
 func WorkloadSuite() []Workload { return append([]Workload(nil), workload.Suite...) }
-
-// WorkloadIdioms is the sharing-idiom evaluation set.
-func WorkloadIdioms() []Workload { return append([]Workload(nil), workload.Idioms...) }
-
-// WorkloadNames lists every registered workload name.
-func WorkloadNames() []string { return workload.Names() }
 
 // WorkloadByName resolves a workload by its name (including the
 // "trace:<path>" scheme).
 func WorkloadByName(name string) (Workload, bool) { return workload.ByName(name) }
-
-// ResolveWorkload is WorkloadByName with a descriptive error: unknown
-// names list the registry, bad trace files report the decode failure.
-func ResolveWorkload(name string) (Workload, error) { return workload.Resolve(name) }
-
-// WorkloadFromTrace loads a recorded trace file as a replayable
-// workload (equivalent to ResolveWorkload("trace:" + path)).
-func WorkloadFromTrace(path string) (Workload, error) { return workload.FromTrace(path) }
-
-// TraceRecorder captures the reference streams a run actually consumes;
-// set Config.Recorder to record, then write Trace() to a file for
-// -workload trace:<path> replay.
-type TraceRecorder = workload.TraceRecorder
-
-// NewTraceRecorder records a run of the named workload across nodes.
-func NewTraceRecorder(name string, nodes int) *TraceRecorder {
-	return workload.NewTraceRecorder(name, nodes)
-}
 
 // ---- interconnect ----
 
@@ -156,12 +117,6 @@ type Network = network.Network
 
 // NetMessage is a network-level message.
 type NetMessage = network.Message
-
-// Routing policies.
-const (
-	Static   = network.Static
-	Adaptive = network.Adaptive
-)
 
 // SafeStaticConfig is the provably deadlock-free baseline network
 // (dimension-order routing, virtual networks, dateline virtual
@@ -179,13 +134,6 @@ func SimplifiedNetConfig(w, h int, bw float64, bufSize int) NetConfig {
 	return network.SimplifiedConfig(w, h, bw, bufSize)
 }
 
-// DeflectionNetConfig is the §4 alternative the paper mentions:
-// hot-potato routing, which trades buffer-cycle deadlock for potential
-// livelock (detected by the same transaction timeout, footnote 3).
-func DeflectionNetConfig(w, h int, bw float64) NetConfig {
-	return network.DeflectionConfig(w, h, bw)
-}
-
 // NewNetwork builds a standalone network on a kernel (for
 // network-level studies; systems build their own).
 func NewNetwork(k *Kernel, cfg NetConfig) *Network { return network.New(k, cfg) }
@@ -194,9 +142,6 @@ func NewNetwork(k *Kernel, cfg NetConfig) *Network { return network.New(k, cfg) 
 
 // Speculation describes one application of speculation for simplicity.
 type Speculation = core.Speculation
-
-// Characterization is one row of the paper's Table 1.
-type Characterization = core.Characterization
 
 // The paper's three applications of speculation for simplicity.
 var (
@@ -210,23 +155,3 @@ func Table1() string { return core.Table1(P2POrdering, SnoopCorner, NoVCDeadlock
 
 // Table2 renders the target system parameters (paper Table 2).
 func Table2(cfg Config) string { return system.Table2(cfg) }
-
-// ---- evaluation harness ----
-
-// ExperimentParams sizes an experiment.
-type ExperimentParams = experiments.Params
-
-// QuickParams returns bench-sized experiment parameters; StandardParams
-// returns the EXPERIMENTS.md parameters.
-func QuickParams() ExperimentParams    { return experiments.Quick() }
-func StandardParams() ExperimentParams { return experiments.Standard() }
-
-// DefaultConfigSized returns the Table 2 system scaled to a w×h torus.
-// Directory systems scale to 32×32 (1024 nodes) — the sharer-set format
-// is picked from the geometry (exact bitmap up to 64 nodes,
-// limited-pointer with broadcast overflow beyond); snooping systems run
-// a flat bus to 64 nodes and the segmented address network to 256
-// (ValidateConfig reports why past that).
-func DefaultConfigSized(kind Kind, wl Workload, w, h int) Config {
-	return system.DefaultConfigSized(kind, wl, w, h)
-}
