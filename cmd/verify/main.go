@@ -28,7 +28,7 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"time"
 
@@ -203,21 +203,34 @@ func parseReduce(s string) (explore.Reduction, bool) {
 }
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("verify: ")
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command with its arguments and streams, returning the exit
+// code: 0 when every exploration behaved correctly, 1 on a violation or
+// an invalid flag value, 2 on a flag the command does not define.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("verify", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		protocol = flag.String("protocol", "all", "protocol: directory, snoop, all")
-		which    = flag.String("scenario", "all", "scenario name, or all")
-		maxPaths = flag.Int("maxpaths", 200_000, "interleaving budget per exploration subtree task (total may reach budget x tasks)")
-		depth    = flag.Int("depth", 0, "max delivery steps per path (0 = engine default)")
-		workers  = flag.Int("workers", 1, "parallel frontier width (results identical at any count)")
-		reduceS  = flag.String("reduce", "sleep", "pruning: sleep (sleep sets + state hashing), dpor, none")
-		stats    = flag.Bool("stats", false, "report explored vs pruned interleaving counts")
+		protocol = fs.String("protocol", "all", "protocol: directory, snoop, all")
+		which    = fs.String("scenario", "all", "scenario name, or all")
+		maxPaths = fs.Int("maxpaths", 200_000, "interleaving budget per exploration subtree task (total may reach budget x tasks)")
+		depth    = fs.Int("depth", 0, "max delivery steps per path (0 = engine default)")
+		workers  = fs.Int("workers", 1, "parallel frontier width (results identical at any count)")
+		reduceS  = fs.String("reduce", "sleep", "pruning: sleep (sleep sets + state hashing), dpor, none")
+		stats    = fs.Bool("stats", false, "report explored vs pruned interleaving counts")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
 	reduce, ok := parseReduce(*reduceS)
 	if !ok {
-		log.Fatalf("unknown -reduce %q (want sleep, dpor or none)", *reduceS)
+		fmt.Fprintf(stderr, "verify: unknown -reduce %q (want sleep, dpor or none)\n", *reduceS)
+		return 1
 	}
 
 	failed := false
@@ -240,17 +253,17 @@ func main() {
 					NoDedup:        reduce == explore.ReduceNone,
 					Workers:        *workers,
 				})
-				report("directory", sc.name, fmt.Sprint(v), res.Paths, res.Completed,
+				report(stdout, "directory", sc.name, fmt.Sprint(v), res.Paths, res.Completed,
 					res.Detected, res.Truncated, res.Violations, start, &failed)
 				if *stats {
-					statline(res.SleepCut, res.VisitedCut, res.Transitions, res.Replayed, res.Tasks)
+					statline(stdout, res.SleepCut, res.VisitedCut, res.Transitions, res.Replayed, res.Tasks)
 				}
 				if v == directory.Spec && res.Detected == 0 &&
 					(sc.name == "race" || sc.name == "race-gets" || sc.name == "race-3x4") {
-					fmt.Println("    warning: race scenario never triggered detection")
+					fmt.Fprintln(stdout, "    warning: race scenario never triggered detection")
 				}
 				if v == directory.Full && res.RacesExercised > 0 && *stats {
-					fmt.Printf("    writeback race exercised on %d completed paths\n", res.RacesExercised)
+					fmt.Fprintf(stdout, "    writeback race exercised on %d completed paths\n", res.RacesExercised)
 				}
 			}
 		}
@@ -272,29 +285,30 @@ func main() {
 					NoDedup:  reduce == explore.ReduceNone,
 					Workers:  *workers,
 				})
-				report("snoop", sc.name, fmt.Sprint(v), res.Paths, res.Completed,
+				report(stdout, "snoop", sc.name, fmt.Sprint(v), res.Paths, res.Completed,
 					res.Detected, res.Truncated, res.Violations, start, &failed)
 				if *stats {
-					statline(res.SleepCut, res.VisitedCut, res.Transitions, res.Replayed, res.Tasks)
+					statline(stdout, res.SleepCut, res.VisitedCut, res.Transitions, res.Replayed, res.Tasks)
 				}
 				if v == snoop.Spec && res.Detected == 0 && (sc.name == "corner" || sc.name == "corner-3x4") {
-					fmt.Println("    warning: corner scenario never triggered detection")
+					fmt.Fprintln(stdout, "    warning: corner scenario never triggered detection")
 				}
 				if v == snoop.Full && res.CornerHandled > 0 {
-					fmt.Printf("    corner case absorbed by the specified transition on %d paths\n", res.CornerHandled)
+					fmt.Fprintf(stdout, "    corner case absorbed by the specified transition on %d paths\n", res.CornerHandled)
 				}
 			}
 		}
 	}
 	if failed {
-		os.Exit(1)
+		return 1
 	}
-	fmt.Println("\nEvery explored interleaving behaved correctly: the full protocols")
-	fmt.Println("never mis-speculate; the speculative protocols either complete or")
-	fmt.Println("detect at their single designated invalid transition (feature 2).")
+	fmt.Fprintln(stdout, "\nEvery explored interleaving behaved correctly: the full protocols")
+	fmt.Fprintln(stdout, "never mis-speculate; the speculative protocols either complete or")
+	fmt.Fprintln(stdout, "detect at their single designated invalid transition (feature 2).")
+	return 0
 }
 
-func report(proto, name, variant string, paths, completed, detected int, truncated bool,
+func report(w io.Writer, proto, name, variant string, paths, completed, detected int, truncated bool,
 	violations []string, start time.Time, failed *bool) {
 	status := "OK"
 	if len(violations) > 0 {
@@ -305,18 +319,18 @@ func report(proto, name, variant string, paths, completed, detected int, truncat
 	if truncated {
 		trunc = " (budget exhausted)"
 	}
-	fmt.Printf("%-10s %-18s %-5s %-4s %8d interleavings: %d completed, %d detected%s  [%.1fs]\n",
+	fmt.Fprintf(w, "%-10s %-18s %-5s %-4s %8d interleavings: %d completed, %d detected%s  [%.1fs]\n",
 		proto, name, variant, status, paths, completed, detected, trunc, time.Since(start).Seconds())
 	for i, viol := range violations {
 		if i == 3 {
-			fmt.Printf("    ... %d more\n", len(violations)-3)
+			fmt.Fprintf(w, "    ... %d more\n", len(violations)-3)
 			break
 		}
-		fmt.Printf("    %s\n", viol)
+		fmt.Fprintf(w, "    %s\n", viol)
 	}
 }
 
-func statline(sleepCut, visitedCut int, transitions, replayed uint64, tasks int) {
-	fmt.Printf("    pruned: %d sleep-cut + %d visited-cut subtrees; %d transitions (+%d replayed) over %d tasks\n",
+func statline(w io.Writer, sleepCut, visitedCut int, transitions, replayed uint64, tasks int) {
+	fmt.Fprintf(w, "    pruned: %d sleep-cut + %d visited-cut subtrees; %d transitions (+%d replayed) over %d tasks\n",
 		sleepCut, visitedCut, transitions, replayed, tasks)
 }

@@ -91,10 +91,22 @@ func TestExploreSpecDetectsAllViolations(t *testing.T) {
 // TestExploreThreeBlocksFourNodes is the scaled proof the engine
 // exists for: both variants verified exhaustively on a 3-block,
 // 4-active-node scenario with overlapping writeback races — beyond
-// what full enumeration could finish.
+// what full enumeration could finish. It pins the exact counts, so it
+// is also the golden of race-3x4, the one scenario the cmd/verify
+// goldens leave out for time.
 func TestExploreThreeBlocksFourNodes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exhaustive 3x4 proof runs in the full test step; -short (race) covers the smaller scenarios")
+	}
+	type counts struct {
+		paths, completed, detected, sleepCut, visitedCut, flagged, tasks int
+		transitions, replayed                                            uint64
+	}
+	want := map[Variant]counts{
+		Full: {paths: 552, completed: 552, sleepCut: 4149, visitedCut: 80346, flagged: 160,
+			tasks: 16, transitions: 162964, replayed: 1467819},
+		Spec: {paths: 1417, completed: 552, detected: 865, sleepCut: 3203, visitedCut: 64353, flagged: 160,
+			tasks: 16, transitions: 134411, replayed: 1138833},
 	}
 	for _, v := range []Variant{Full, Spec} {
 		res := Explore(ExploreConfig{
@@ -108,21 +120,10 @@ func TestExploreThreeBlocksFourNodes(t *testing.T) {
 		if res.Truncated {
 			t.Fatalf("%s: truncated; the proof is not exhaustive", v)
 		}
-		switch v {
-		case Full:
-			if res.Detected != 0 {
-				t.Fatalf("full variant mis-speculated on %d paths", res.Detected)
-			}
-			if res.RacesExercised == 0 {
-				t.Fatal("scenario never reached the writeback race")
-			}
-		case Spec:
-			if res.Detected == 0 {
-				t.Fatal("spec variant never detected; scenario proves nothing")
-			}
-			if res.Completed+res.Detected != res.Paths {
-				t.Fatalf("unexplained outcomes: %+v", res)
-			}
+		got := counts{res.Paths, res.Completed, res.Detected, res.SleepCut, res.VisitedCut,
+			res.RacesExercised, res.Tasks, res.Transitions, res.Replayed}
+		if got != want[v] {
+			t.Fatalf("%s 3x4 counts moved:\n got %+v\nwant %+v", v, got, want[v])
 		}
 		t.Logf("%s 3x4: %d paths, %d detected, cuts %d+%d, %d transitions",
 			v, res.Paths, res.Detected, res.SleepCut, res.VisitedCut, res.Transitions)
