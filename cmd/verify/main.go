@@ -30,6 +30,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
+	"strings"
 	"time"
 
 	"specsimp/internal/coherence"
@@ -190,16 +192,51 @@ func snoopScenarios() []snoopScenario {
 	}
 }
 
-func parseReduce(s string) (explore.Reduction, bool) {
-	switch s {
-	case "sleep":
-		return explore.ReduceSleep, true
-	case "dpor":
-		return explore.ReduceDPOR, true
-	case "none":
-		return explore.ReduceNone, true
+// validate checks every flag value before anything runs and returns
+// the selected reduction.
+func validate(protocol, scenario, reduce string, maxPaths, depth, workers int) (explore.Reduction, error) {
+	var names []string
+	switch protocol {
+	case "all", "directory", "snoop":
+	default:
+		return 0, fmt.Errorf("unknown -protocol %q (want directory, snoop or all)", protocol)
 	}
-	return 0, false
+	if protocol != "snoop" {
+		for _, sc := range dirScenarios() {
+			names = append(names, sc.name)
+		}
+	}
+	if protocol != "directory" {
+		for _, sc := range snoopScenarios() {
+			if !slices.Contains(names, sc.name) {
+				names = append(names, sc.name)
+			}
+		}
+	}
+	if scenario != "all" && !slices.Contains(names, scenario) {
+		return 0, fmt.Errorf("unknown -scenario %q for -protocol %s (want %s or all)",
+			scenario, protocol, strings.Join(names, ", "))
+	}
+	var r explore.Reduction
+	switch reduce {
+	case "sleep":
+		r = explore.ReduceSleep
+	case "dpor":
+		r = explore.ReduceDPOR
+	case "none":
+		r = explore.ReduceNone
+	default:
+		return 0, fmt.Errorf("unknown -reduce %q (want sleep, dpor or none)", reduce)
+	}
+	switch {
+	case maxPaths < 1:
+		return 0, fmt.Errorf("-maxpaths %d: want at least 1", maxPaths)
+	case depth < 0:
+		return 0, fmt.Errorf("-depth %d: want 0 (the engine default) or more", depth)
+	case workers < 1:
+		return 0, fmt.Errorf("-workers %d: want at least 1", workers)
+	}
+	return r, nil
 }
 
 func main() {
@@ -207,8 +244,8 @@ func main() {
 }
 
 // run is the command with its arguments and streams, returning the exit
-// code: 0 when every exploration behaved correctly, 1 on a violation or
-// an invalid flag value, 2 on a flag the command does not define.
+// code: 0 when every exploration behaved correctly, 1 on a violation,
+// 2 on an invalid command line (reported before anything runs).
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("verify", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -227,10 +264,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
-	reduce, ok := parseReduce(*reduceS)
-	if !ok {
-		fmt.Fprintf(stderr, "verify: unknown -reduce %q (want sleep, dpor or none)\n", *reduceS)
-		return 1
+	reduce, err := validate(*protocol, *which, *reduceS, *maxPaths, *depth, *workers)
+	if err != nil {
+		fmt.Fprintf(stderr, "verify: %v\n", err)
+		return 2
 	}
 
 	failed := false

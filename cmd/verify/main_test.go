@@ -80,3 +80,37 @@ func TestVerifyStatsGolden(t *testing.T) {
 	checkGolden(t, "sleep.golden", sleep.String())
 	checkGolden(t, "none.golden", verifyOutput(t, "-stats", "-reduce", "none", "-maxpaths", "200"))
 }
+
+// TestVerifyRejectsBadFlags: a flag value the command cannot honor is
+// an error that names the flag and its valid values, before anything
+// is explored — never a run that ignores it and reports success.
+func TestVerifyRejectsBadFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want []string // substrings of the error
+	}{
+		{[]string{"-protocol", "nonsense"}, []string{`-protocol "nonsense"`, "directory, snoop or all"}},
+		{[]string{"-scenario", "bogus"}, []string{`-scenario "bogus"`, "race, race-3x4", "corner-gets or all"}},
+		{[]string{"-protocol", "snoop", "-scenario", "race"}, []string{`-scenario "race"`, "-protocol snoop", "want corner, "}},
+		{[]string{"-protocol", "directory", "-scenario", "corner"}, []string{`-scenario "corner"`, "sharer-overflow or all"}},
+		{[]string{"-reduce", "fast"}, []string{`-reduce "fast"`, "sleep"}},
+		{[]string{"-maxpaths", "-1"}, []string{"-maxpaths -1", "at least 1"}},
+		{[]string{"-maxpaths", "0"}, []string{"-maxpaths 0", "at least 1"}},
+		{[]string{"-depth", "-3"}, []string{"-depth -3", "0 (the engine default) or more"}},
+		{[]string{"-workers", "0"}, []string{"-workers 0", "at least 1"}},
+	} {
+		var stdout, stderr bytes.Buffer
+		code := run(tc.args, &stdout, &stderr)
+		if code != 2 {
+			t.Errorf("verify %v: exit %d, want 2", tc.args, code)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("verify %v explored before rejecting its flags:\n%s", tc.args, stdout.String())
+		}
+		for _, w := range tc.want {
+			if !strings.Contains(stderr.String(), w) {
+				t.Errorf("verify %v: error %q does not mention %q", tc.args, stderr.String(), w)
+			}
+		}
+	}
+}
