@@ -20,7 +20,7 @@
 //	verify                     # all scenarios, both protocols and variants
 //	verify -protocol snoop     # just the snooping protocol
 //	verify -scenario race      # just the §3.1 writeback race
-//	verify -reduce dpor        # pruning mode: sleep (default), dpor, none
+//	verify -reduce none        # pruning mode: sleep (default) or none
 //	verify -workers 8          # parallel frontier (results identical at any count)
 //	verify -stats              # explored vs pruned interleaving accounting
 package main
@@ -221,12 +221,10 @@ func validate(protocol, scenario, reduce string, maxPaths, depth, workers int) (
 	switch reduce {
 	case "sleep":
 		r = explore.ReduceSleep
-	case "dpor":
-		r = explore.ReduceDPOR
 	case "none":
 		r = explore.ReduceNone
 	default:
-		return 0, fmt.Errorf("unknown -reduce %q (want sleep, dpor or none)", reduce)
+		return 0, fmt.Errorf("unknown -reduce %q (want sleep or none)", reduce)
 	}
 	switch {
 	case maxPaths < 1:
@@ -255,7 +253,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		maxPaths = fs.Int("maxpaths", 200_000, "interleaving budget per exploration subtree task (total may reach budget x tasks)")
 		depth    = fs.Int("depth", 0, "max delivery steps per path (0 = engine default)")
 		workers  = fs.Int("workers", 1, "parallel frontier width (results identical at any count)")
-		reduceS  = fs.String("reduce", "sleep", "pruning: sleep (sleep sets + state hashing), dpor, none")
+		reduceS  = fs.String("reduce", "sleep", "pruning: sleep (sleep sets + state hashing) or none (full enumeration)")
 		stats    = fs.Bool("stats", false, "report explored vs pruned interleaving counts")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -287,7 +285,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 					Sharers:        sc.sharers,
 					SharerPointers: sc.pointers,
 					Reduce:         reduce,
-					NoDedup:        reduce == explore.ReduceNone,
 					Workers:        *workers,
 				})
 				report(stdout, "directory", sc.name, fmt.Sprint(v), res.Paths, res.Completed,
@@ -319,7 +316,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 					MaxPaths: *maxPaths,
 					MaxDepth: *depth,
 					Reduce:   reduce,
-					NoDedup:  reduce == explore.ReduceNone,
 					Workers:  *workers,
 				})
 				report(stdout, "snoop", sc.name, fmt.Sprint(v), res.Paths, res.Completed,

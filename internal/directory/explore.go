@@ -53,10 +53,8 @@ type ExploreConfig struct {
 	SharerClusterSize int
 
 	// Reduce selects the pruning mode (zero = sleep sets + state
-	// dedup; see explore.Reduction). NoDedup disables visited-state
-	// pruning.
-	Reduce  explore.Reduction
-	NoDedup bool
+	// dedup; see explore.Reduction).
+	Reduce explore.Reduction
 	// Workers bounds the parallel frontier (0/1 = serial; results are
 	// identical for every value). ForkDepth tunes the frontier split
 	// (0 = engine default, negative = no fork).
@@ -105,7 +103,6 @@ func Explore(cfg ExploreConfig) ExploreResult {
 	er := explore.Run(explore.Config{
 		NewModel:         func() explore.Model { return newDirModel(cfg) },
 		Reduction:        cfg.Reduce,
-		StateDedup:       !cfg.NoDedup,
 		MaxPaths:         cfg.MaxPaths,
 		MaxDepth:         cfg.MaxDepth,
 		Workers:          cfg.Workers,

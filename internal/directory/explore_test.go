@@ -221,8 +221,8 @@ func TestExploreUpgradeScenario(t *testing.T) {
 	t.Logf("upgrades: %d paths verified", res.Paths)
 }
 
-// TestExploreModeEquivalence: full enumeration, sleep sets + dedup,
-// and DPOR must reach exactly the same terminal states on a scenario
+// TestExploreModeEquivalence: full enumeration and sleep sets + dedup
+// must reach exactly the same terminal states on a scenario
 // small enough to enumerate — the protocol-level soundness check of
 // the reductions (the independence relation could be wrong in ways
 // toy models never exercise).
@@ -240,20 +240,17 @@ func TestExploreModeEquivalence(t *testing.T) {
 	sawDetection := false
 	terminals := map[string][]explore.Digest{}
 	for _, m := range []struct {
-		name    string
-		reduce  explore.Reduction
-		noDedup bool
+		name   string
+		reduce explore.Reduction
 	}{
-		{"none", explore.ReduceNone, true},
-		{"sleep", explore.ReduceSleep, false},
-		{"dpor", explore.ReduceDPOR, true},
+		{"none", explore.ReduceNone},
+		{"sleep", explore.ReduceSleep},
 	} {
 		res := Explore(ExploreConfig{
 			Variant:          Spec,
 			Nodes:            3,
 			Script:           script,
 			Reduce:           m.reduce,
-			NoDedup:          m.noDedup,
 			CollectTerminals: true,
 		})
 		if !res.Ok() {
@@ -281,47 +278,33 @@ func TestExploreModeEquivalence(t *testing.T) {
 		t.Fatalf("sleep reduction lost terminal states: %d vs %d",
 			len(terminals["sleep"]), len(terminals["none"]))
 	}
-	if !reflect.DeepEqual(terminals["none"], terminals["dpor"]) {
-		t.Fatalf("dpor reduction lost terminal states: %d vs %d",
-			len(terminals["dpor"]), len(terminals["none"]))
-	}
 }
 
-// TestExploreReductionRatio pins the acceptance bar: on the pre-PR-4
-// race script, the reductions explore at least 10x fewer
+// TestExploreReductionRatio pins the acceptance bar: on the race
+// script, sleep sets + state dedup explore at least 10x fewer
 // interleavings than full enumeration.
 func TestExploreReductionRatio(t *testing.T) {
 	budget := 60_000
 	full := Explore(ExploreConfig{
 		Variant: Spec, Nodes: 4, Script: raceScript(),
-		Reduce: explore.ReduceNone, NoDedup: true, MaxPaths: budget,
+		Reduce: explore.ReduceNone, MaxPaths: budget,
 	})
 	fullPaths := full.Paths // a lower bound when truncated
-	for _, m := range []struct {
-		name    string
-		reduce  explore.Reduction
-		noDedup bool
-	}{
-		{"sleep+dedup", explore.ReduceSleep, false},
-		{"dpor", explore.ReduceDPOR, true},
-	} {
-		res := Explore(ExploreConfig{
-			Variant: Spec, Nodes: 4, Script: raceScript(),
-			Reduce: m.reduce, NoDedup: m.noDedup, ForkDepth: -1,
-		})
-		if !res.Ok() {
-			t.Fatalf("%s: %s", m.name, res.Violations[0])
-		}
-		if res.Truncated {
-			t.Fatalf("%s: truncated", m.name)
-		}
-		if res.Paths*10 > fullPaths {
-			t.Fatalf("%s explored %d paths vs >=%d full enumeration: less than 10x",
-				m.name, res.Paths, fullPaths)
-		}
-		t.Logf("%s: %d paths vs >=%d full (%.0fx, truncated-full=%v)",
-			m.name, res.Paths, fullPaths, float64(fullPaths)/float64(res.Paths), full.Truncated)
+	res := Explore(ExploreConfig{
+		Variant: Spec, Nodes: 4, Script: raceScript(), ForkDepth: -1,
+	})
+	if !res.Ok() {
+		t.Fatalf("sleep+dedup: %s", res.Violations[0])
 	}
+	if res.Truncated {
+		t.Fatal("sleep+dedup: truncated")
+	}
+	if res.Paths*10 > fullPaths {
+		t.Fatalf("sleep+dedup explored %d paths vs >=%d full enumeration: less than 10x",
+			res.Paths, fullPaths)
+	}
+	t.Logf("sleep+dedup: %d paths vs >=%d full (%.0fx, truncated-full=%v)",
+		res.Paths, fullPaths, float64(fullPaths)/float64(res.Paths), full.Truncated)
 }
 
 // TestExploreWorkerDeterminism: the parallel frontier must return

@@ -175,10 +175,9 @@ func (m *dirModel) Enabled(buf []explore.Transition) []explore.Transition {
 	for i, nm := range m.f.queue {
 		msg := m.f.payloads[m.f.ids[i]].msg
 		buf = append(buf, explore.Transition{
-			ID:    m.f.ids[i],
-			Key:   msgKey(1, int64(nm.Dst), msg),
-			Ctrl:  dirMsgCtrl(nm.Dst, msg),
-			Block: int64(uint64(msg.Addr) / coherence.BlockBytes),
+			ID:   m.f.ids[i],
+			Key:  msgKey(1, int64(nm.Dst), msg),
+			Ctrl: dirMsgCtrl(nm.Dst, msg),
 		})
 	}
 	return buf

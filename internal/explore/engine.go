@@ -20,27 +20,30 @@ func (s idSet) has(id uint64) bool {
 	return ok
 }
 
+// sleepSet holds the transitions asleep at a state. Members are
+// distinct: a transition joins only after it was explored from the
+// state, and the scan skips members.
+type sleepSet []Transition
+
+func (s sleepSet) has(id uint64) bool {
+	for _, t := range s {
+		if t.ID == id {
+			return true
+		}
+	}
+	return false
+}
+
 // frame is one state on the DFS stack.
 type frame struct {
-	// viaID/viaMeta is the transition that produced this state from
-	// its parent (unset on the root frame).
-	viaID   uint64
-	viaMeta Transition
+	// via is the transition that produced this state from its parent
+	// (unset on the root frame).
+	via Transition
 
 	enabled []Transition
-	index   map[uint64]int // ID -> position in enabled
-
-	sleep     idSet // asleep on entry + completed sibling subtrees
-	done      idSet // explored from this state
-	blocked   idSet // back-pressured at this state
-	backtrack idSet // DPOR: transitions that must be explored (nil = all)
-
-	// introduced lists IDs first enabled at this state, for map
-	// cleanup when the frame pops.
-	introduced []uint64
-	// frozen marks replayed task-prefix frames: visible to DPOR race
-	// scans and replay, but never explored from.
-	frozen bool
+	sleep   sleepSet // asleep on entry + completed sibling subtrees
+	done    idSet    // explored from this state
+	blocked idSet    // back-pressured at this state
 }
 
 // task is one independent subtree of the exploration: a choice prefix
@@ -51,6 +54,10 @@ type task struct {
 	rootSleep []uint64
 }
 
+// maxVisited caps the visited-state table; beyond it, new states are
+// explored but no longer recorded.
+const maxVisited = 1 << 20
+
 // engine explores one subtree sequentially. Backtracking restores
 // model state by replaying the choice prefix from Reset (the models
 // cannot snapshot), so the stack stores choices, not states.
@@ -59,12 +66,9 @@ type engine struct {
 	m     Model
 	res   Result
 	stack []*frame
-
-	// born maps a transition ID to the depth of the frame where it
-	// first became enabled; its sender is the transition entering that
-	// frame. Valid for IDs on or above the current stack only.
-	born map[uint64]int
-	meta map[uint64]Transition
+	// base counts the task-prefix frames at the bottom of the stack:
+	// replayed and part of every path, but never explored from.
+	base int
 
 	enc     Enc
 	visited map[uint64][]visitedEntry
@@ -72,7 +76,6 @@ type engine struct {
 
 	ebuf     []Transition
 	keybuf   []uint64
-	ancbuf   []int
 	dirty    bool // model state is past the top frame; replay before Take
 	maxDepth int  // live depth budget for this task
 	aborted  bool
@@ -94,35 +97,29 @@ func newEngine(cfg Config, m Model) *engine {
 func (e *engine) runTask(t task) Result {
 	e.res = Result{}
 	e.stack = e.stack[:0]
-	e.born = make(map[uint64]int)
-	e.meta = make(map[uint64]Transition)
 	e.visited = make(map[uint64][]visitedEntry)
 	e.nstates = 0
 	e.dirty = false
 	e.aborted = false
 	e.maxDepth = e.cfg.MaxDepth + len(t.choices)
+	e.base = len(t.choices)
 
 	e.m.Reset()
-	e.pushFrame(0, Transition{}, nil)
+	e.pushFrame(Transition{}, nil)
 	for _, c := range t.choices {
-		cur := e.top()
-		cur.frozen = true
 		st := e.safeTake(c)
 		if st != Progressed {
 			e.abort(fmt.Sprintf("replay of task prefix diverged at %d (step result %d)", c, st))
 			return e.res
 		}
 		e.res.Replayed++
-		e.pushFrame(c, e.meta[c], nil)
+		e.pushFrame(e.top().enabledByID(c), nil)
 	}
 	root := e.top()
 	for _, id := range t.rootSleep {
-		if _, ok := root.index[id]; ok {
-			root.sleep.add(id)
+		if tr := root.enabledByID(id); tr.ID == id {
+			root.sleep = append(root.sleep, tr)
 		}
-	}
-	if e.cfg.Reduction == ReduceDPOR {
-		e.seedBacktrack(root)
 	}
 	if len(root.enabled) == 0 {
 		e.terminalPath()
@@ -130,6 +127,17 @@ func (e *engine) runTask(t task) Result {
 	}
 	e.dfs()
 	return e.res
+}
+
+// enabledByID returns the enabled transition with the given ID, or the
+// zero Transition.
+func (f *frame) enabledByID(id uint64) Transition {
+	for _, t := range f.enabled {
+		if t.ID == id {
+			return t
+		}
+	}
+	return Transition{}
 }
 
 func (e *engine) top() *frame {
@@ -145,108 +153,37 @@ func (e *engine) abort(desc string) {
 }
 
 // pushFrame records the state the model currently sits in as a new
-// stack frame reached via (viaID, viaMeta) with the given entry sleep.
-func (e *engine) pushFrame(viaID uint64, viaMeta Transition, sleep idSet) *frame {
+// stack frame reached via the given transition with the given entry
+// sleep set.
+func (e *engine) pushFrame(via Transition, sleep sleepSet) *frame {
 	e.ebuf = e.m.Enabled(e.ebuf[:0])
 	f := &frame{
-		viaID:   viaID,
-		viaMeta: viaMeta,
+		via:     via,
 		enabled: append([]Transition(nil), e.ebuf...),
-		index:   make(map[uint64]int, len(e.ebuf)),
 		sleep:   sleep,
-	}
-	depth := len(e.stack)
-	for i, t := range f.enabled {
-		f.index[t.ID] = i
-		if _, ok := e.meta[t.ID]; !ok {
-			e.meta[t.ID] = t
-			e.born[t.ID] = depth
-			f.introduced = append(f.introduced, t.ID)
-		}
 	}
 	e.stack = append(e.stack, f)
 	return f
 }
 
+// popFrame drops the top frame. The completed subtree puts its entry
+// transition to sleep in the parent, so sibling subtrees skip it until
+// a dependent transition filters it out on descent.
 func (e *engine) popFrame() {
 	f := e.top()
-	for _, id := range f.introduced {
-		delete(e.meta, id)
-		delete(e.born, id)
-	}
 	e.stack = e.stack[:len(e.stack)-1]
-	// The completed subtree puts its entry transition to sleep in the
-	// parent, so sibling subtrees skip it until a dependent transition
-	// filters it out on descent. Under DPOR this is the classic
-	// FG+sleep combination; it is sound only together with the
-	// raceUpdate repair that floods the backtrack set whenever a
-	// reversal candidate is itself asleep (backtrack additions assume
-	// the added transition will actually be explored).
-	if p := e.top(); p != nil && !p.frozen && e.cfg.Reduction != ReduceNone {
-		p.sleep.add(f.viaID)
+	if len(e.stack) > e.base && e.cfg.Reduction != ReduceNone {
+		p := e.top()
+		p.sleep = append(p.sleep, f.via)
 	}
 	e.dirty = true
 }
 
-// seedBacktrack initializes a DPOR frame with its first eligible
-// transition; races discovered later add more.
-func (e *engine) seedBacktrack(f *frame) {
-	f.backtrack = make(idSet, 2)
-	for _, t := range f.enabled {
-		if !f.sleep.has(t.ID) {
-			f.backtrack.add(t.ID)
-			return
-		}
-	}
-}
-
-func (e *engine) floodBacktrack(f *frame) {
-	for _, t := range f.enabled {
-		if !f.sleep.has(t.ID) {
-			f.backtrack.add(t.ID)
-		}
-	}
-}
-
-// btAdd adds a race reversal to a backtrack set. A candidate that is
-// asleep at that state would never execute there, so the set is
-// flooded with every awake transition instead — the FG fallback that
-// keeps the FG+sleep combination sound.
-func (e *engine) btAdd(f *frame, id uint64) {
-	if f.sleep.has(id) || f.blocked.has(id) {
-		e.floodBacktrack(f)
-		return
-	}
-	f.backtrack.add(id)
-}
-
-// floodStack floods every live frame's backtrack set. DPOR's race
-// detection reads races off executed trace suffixes; a path truncated
-// with transitions still pending (a detection clearing the queues, an
-// unspecified-transition panic, a deadlock) never executes that
-// suffix, so the races it would have revealed must be explored
-// conservatively instead.
-func (e *engine) floodStack() {
-	if e.cfg.Reduction != ReduceDPOR {
-		return
-	}
-	for _, f := range e.stack {
-		if !f.frozen && f.backtrack != nil {
-			e.floodBacktrack(f)
-		}
-	}
-}
-
 // nextCandidate picks the first enabled transition that still needs
-// exploring from f, honoring sleep/done/blocked and (under DPOR) the
-// backtrack set. Backtrack additions may land before an earlier scan
-// position, so the scan always restarts.
+// exploring from f, honoring sleep/done/blocked.
 func (e *engine) nextCandidate(f *frame) (Transition, bool) {
 	for _, t := range f.enabled {
 		if f.done.has(t.ID) || f.sleep.has(t.ID) || f.blocked.has(t.ID) {
-			continue
-		}
-		if f.backtrack != nil && !f.backtrack.has(t.ID) {
 			continue
 		}
 		return t, true
@@ -255,20 +192,8 @@ func (e *engine) nextCandidate(f *frame) (Transition, bool) {
 }
 
 func (e *engine) dfs() {
-	base := 0
-	for _, f := range e.stack {
-		if f.frozen {
-			base++
-		}
-	}
-	for !e.aborted {
-		if len(e.stack) <= base {
-			return
-		}
+	for !e.aborted && len(e.stack) > e.base {
 		f := e.top()
-		if f.frozen {
-			return
-		}
 		if e.res.Paths >= e.cfg.MaxPaths {
 			e.res.Truncated = true
 			return
@@ -287,37 +212,26 @@ func (e *engine) dfs() {
 			f.done.add(t.ID)
 			e.res.Paths++
 			e.res.Transitions++
-			e.recordViolationAt(t.ID, "panic: "+panicMsg)
-			e.raceUpdate(t)
-			e.floodStack()
+			e.recordViolationAt(t, "panic: "+panicMsg)
 			e.dirty = true
 			if e.cfg.Reduction != ReduceNone {
-				f.sleep.add(t.ID)
+				f.sleep = append(f.sleep, t)
 			}
 			continue
 		}
 		switch st {
 		case Blocked:
 			f.blocked.add(t.ID)
-			if f.backtrack != nil {
-				// The chosen representative cannot run here; fall back
-				// to the full persistent set so no race hides behind
-				// the back-pressure.
-				e.floodBacktrack(f)
-			}
 		case Detected:
 			f.done.add(t.ID)
 			e.res.Transitions++
-			e.raceUpdate(t)
-			e.floodStack()
-			e.stack = append(e.stack, &frame{viaID: t.ID, viaMeta: e.meta[t.ID]})
+			e.stack = append(e.stack, &frame{via: t})
 			e.terminalPath()
 			e.popFrame()
 		case Progressed:
 			f.done.add(t.ID)
 			e.res.Transitions++
-			e.raceUpdate(t)
-			child := e.pushFrame(t.ID, e.meta[t.ID], e.childSleep(f, t))
+			child := e.pushFrame(t, e.childSleep(f, t))
 			switch {
 			case len(child.enabled) == 0:
 				e.terminalPath()
@@ -325,15 +239,10 @@ func (e *engine) dfs() {
 			case len(e.stack)-1 > e.maxDepth:
 				e.res.Paths++
 				e.recordViolation(fmt.Sprintf("exceeded depth %d", e.cfg.MaxDepth))
-				e.floodStack()
 				e.popFrame()
-			case e.cfg.StateDedup && e.visitedPrune(child):
+			case e.cfg.Reduction == ReduceSleep && e.visitedPrune(child):
 				e.res.VisitedCut++
 				e.popFrame()
-			default:
-				if e.cfg.Reduction == ReduceDPOR {
-					e.seedBacktrack(child)
-				}
 			}
 		}
 	}
@@ -341,15 +250,14 @@ func (e *engine) dfs() {
 
 // childSleep carries the parent's sleep set down through t, waking
 // every member dependent with t.
-func (e *engine) childSleep(f *frame, t Transition) idSet {
+func (e *engine) childSleep(f *frame, t Transition) sleepSet {
 	if e.cfg.Reduction == ReduceNone {
 		return nil
 	}
-	var s idSet
-	//detlint:allow maporder commutative set union through the pure Independent predicate
-	for id := range f.sleep {
-		if e.cfg.Independent(e.meta[id], t) {
-			s.add(id)
+	var s sleepSet
+	for _, u := range f.sleep {
+		if DisjointCtrl(u, t) {
+			s = append(s, u)
 		}
 	}
 	return s
@@ -374,7 +282,6 @@ func (e *engine) finishFrame(f *frame) {
 	if e.dirty && !e.replayToTop() {
 		return
 	}
-	e.floodStack()
 	e.terminalPath()
 }
 
@@ -408,69 +315,6 @@ func (e *engine) terminalPath() {
 	e.dirty = true
 }
 
-// raceUpdate is the dynamic half of DPOR: executing t, walk the trace
-// backwards for the most recent transition dependent with t and not a
-// causal ancestor of it. The pre-state of that transition must also
-// explore the reversal, so t (or, if t was not yet in flight there,
-// t's earliest in-flight causal ancestor) joins its backtrack set.
-func (e *engine) raceUpdate(t Transition) {
-	if e.cfg.Reduction != ReduceDPOR {
-		return
-	}
-	// Causal ancestor transition indices of t: τ_i (entering frame
-	// i+1) sent the message chain leading to t.
-	anc := e.ancbuf[:0]
-	d, ok := e.born[t.ID]
-	for ok && d > 0 {
-		anc = append(anc, d-1)
-		sid := e.stack[d].viaID
-		d, ok = e.born[sid]
-	}
-	e.ancbuf = anc
-	inAnc := func(i int) bool {
-		for _, a := range anc {
-			if a == i {
-				return true
-			}
-		}
-		return false
-	}
-	for i := len(e.stack) - 2; i >= 0; i-- {
-		if inAnc(i) {
-			continue
-		}
-		tau := e.stack[i+1].viaMeta
-		if e.cfg.Independent(tau, t) {
-			continue
-		}
-		fi := e.stack[i]
-		if fi.frozen || fi.backtrack == nil {
-			// Fork-zone states explore every non-slept transition
-			// already; nothing to add.
-			return
-		}
-		if _, inFlight := fi.index[t.ID]; inFlight {
-			e.btAdd(fi, t.ID)
-			return
-		}
-		// t was created after state i: wake its earliest causal
-		// ancestor that was in flight there (ancestors are collected
-		// deepest-first, so scan from the end).
-		for j := len(anc) - 1; j >= 0; j-- {
-			if anc[j] <= i {
-				continue
-			}
-			aid := e.stack[anc[j]+1].viaID
-			if _, ok := fi.index[aid]; ok {
-				e.btAdd(fi, aid)
-				return
-			}
-		}
-		e.floodBacktrack(fi)
-		return
-	}
-}
-
 // visitedPrune consults and updates the visited-state table for the
 // just-pushed frame. A state is covered iff it was explored before
 // under a sleep set no larger than the current one (classic sleep-set
@@ -492,13 +336,13 @@ func (e *engine) visitedPrune(f *frame) bool {
 				return true
 			}
 		}
-		if e.nstates < e.cfg.MaxVisited {
+		if e.nstates < maxVisited {
 			ent.sleeps = keepMinimal(ent.sleeps, cur)
 			e.nstates++
 		}
 		return false
 	}
-	if e.nstates < e.cfg.MaxVisited {
+	if e.nstates < maxVisited {
 		e.visited[dg[0]] = append(entries, visitedEntry{
 			d2:     dg[1],
 			sleeps: [][]uint64{cur},
@@ -511,10 +355,10 @@ func (e *engine) visitedPrune(f *frame) bool {
 // sleepKeys canonicalizes a sleep set as the sorted content keys of
 // its members — comparable across different interleavings reaching
 // the same state, unlike the execution-local IDs.
-func (e *engine) sleepKeys(s idSet) []uint64 {
+func (e *engine) sleepKeys(s sleepSet) []uint64 {
 	e.keybuf = e.keybuf[:0]
-	for id := range s {
-		e.keybuf = append(e.keybuf, e.meta[id].Key)
+	for _, t := range s {
+		e.keybuf = append(e.keybuf, t.Key)
 	}
 	slices.Sort(e.keybuf)
 	return append([]uint64(nil), e.keybuf...)
@@ -552,9 +396,10 @@ func keepMinimal(stored [][]uint64, cur []uint64) [][]uint64 {
 func (e *engine) replayToTop() bool {
 	e.m.Reset()
 	for i := 1; i < len(e.stack); i++ {
-		st := e.safeTake(e.stack[i].viaID)
+		id := e.stack[i].via.ID
+		st := e.safeTake(id)
 		if st != Progressed {
-			e.abort(fmt.Sprintf("replay diverged at step %d id %d (step result %d)", i, e.stack[i].viaID, st))
+			e.abort(fmt.Sprintf("replay diverged at step %d id %d (step result %d)", i, id, st))
 			return false
 		}
 		e.res.Replayed++
@@ -586,8 +431,8 @@ func (e *engine) takeRecover(id uint64) (st Step, panicMsg string) {
 
 // recordViolationAt records a violation on the current path extended
 // by one final transition (used when that transition itself failed).
-func (e *engine) recordViolationAt(finalID uint64, desc string) {
-	e.stack = append(e.stack, &frame{viaID: finalID, viaMeta: e.meta[finalID]})
+func (e *engine) recordViolationAt(final Transition, desc string) {
+	e.stack = append(e.stack, &frame{via: final})
 	e.recordViolation(desc)
 	e.stack = e.stack[:len(e.stack)-1]
 }
@@ -597,8 +442,9 @@ func (e *engine) recordViolationAt(finalID uint64, desc string) {
 func (e *engine) recordViolation(desc string) {
 	v := Violation{Desc: desc}
 	for i := 1; i < len(e.stack); i++ {
-		v.Path = append(v.Path, e.stack[i].viaID)
-		v.Trace = append(v.Trace, e.m.Describe(e.stack[i].viaID))
+		id := e.stack[i].via.ID
+		v.Path = append(v.Path, id)
+		v.Trace = append(v.Trace, e.m.Describe(id))
 	}
 	e.res.Violations = append(e.res.Violations, v)
 }

@@ -64,10 +64,9 @@ func (m *toyModel) Enabled(buf []Transition) []Transition {
 	for _, id := range m.pending {
 		op := m.byID[id]
 		buf = append(buf, Transition{
-			ID:    id,
-			Key:   op.tag,
-			Ctrl:  int32(op.ctrl),
-			Block: int64(op.val),
+			ID:   id,
+			Key:  op.tag,
+			Ctrl: int32(op.ctrl),
 		})
 	}
 	return buf
@@ -157,12 +156,11 @@ func terminalKeys(t *testing.T, r Result) []Digest {
 }
 
 // runMode runs the toy under one reduction mode.
-func runMode(t *testing.T, nm func() Model, red Reduction, dedup bool) Result {
+func runMode(t *testing.T, nm func() Model, red Reduction) Result {
 	t.Helper()
 	r := Run(Config{
 		NewModel:         nm,
 		Reduction:        red,
-		StateDedup:       dedup,
 		CollectTerminals: true,
 	})
 	return r
@@ -181,10 +179,9 @@ func TestEquivalenceAcrossModes(t *testing.T) {
 		op(3, 8),
 	}
 	nm := newToy(4, roots)
-	full := runMode(t, nm, ReduceNone, false)
-	sleep := runMode(t, nm, ReduceSleep, true)
-	dpor := runMode(t, nm, ReduceDPOR, false)
-	for _, r := range []*Result{&full, &sleep, &dpor} {
+	full := runMode(t, nm, ReduceNone)
+	sleep := runMode(t, nm, ReduceSleep)
+	for _, r := range []*Result{&full, &sleep} {
 		if !r.Ok() {
 			t.Fatalf("violations: %+v", r.Violations[0])
 		}
@@ -192,22 +189,19 @@ func TestEquivalenceAcrossModes(t *testing.T) {
 			t.Fatal("truncated")
 		}
 	}
-	fullT, sleepT, dporT := terminalKeys(t, full), terminalKeys(t, sleep), terminalKeys(t, dpor)
+	fullT, sleepT := terminalKeys(t, full), terminalKeys(t, sleep)
 	if !reflect.DeepEqual(fullT, sleepT) {
 		t.Fatalf("sleep+dedup reached %d terminal states, full enumeration %d", len(sleepT), len(fullT))
 	}
-	if !reflect.DeepEqual(fullT, dporT) {
-		t.Fatalf("dpor reached %d terminal states, full enumeration %d", len(dporT), len(fullT))
+	if sleep.Paths >= full.Paths {
+		t.Fatalf("no reduction: full=%d sleep=%d", full.Paths, sleep.Paths)
 	}
-	if sleep.Paths >= full.Paths || dpor.Paths >= full.Paths {
-		t.Fatalf("no reduction: full=%d sleep=%d dpor=%d", full.Paths, sleep.Paths, dpor.Paths)
-	}
-	t.Logf("terminals=%d, paths: full=%d sleep=%d (cut %d+%d) dpor=%d",
-		len(fullT), full.Paths, sleep.Paths, sleep.SleepCut, sleep.VisitedCut, dpor.Paths)
+	t.Logf("terminals=%d, paths: full=%d sleep=%d (cut %d+%d)",
+		len(fullT), full.Paths, sleep.Paths, sleep.SleepCut, sleep.VisitedCut)
 }
 
 // TestReductionOnIndependentOps: n fully independent ops have n! full
-// interleavings but a single Mazurkiewicz trace; the reductions must
+// interleavings but a single Mazurkiewicz trace; sleep sets must
 // collapse them by well over the 10x the acceptance bar asks from the
 // protocol scenarios.
 func TestReductionOnIndependentOps(t *testing.T) {
@@ -216,22 +210,22 @@ func TestReductionOnIndependentOps(t *testing.T) {
 		roots = append(roots, op(i, uint64(i+1)))
 	}
 	nm := newToy(6, roots)
-	full := runMode(t, nm, ReduceNone, false)
-	dpor := runMode(t, nm, ReduceDPOR, false)
+	full := runMode(t, nm, ReduceNone)
+	sleep := runMode(t, nm, ReduceSleep)
 	if full.Paths != 720 {
 		t.Fatalf("full enumeration found %d paths, want 6! = 720", full.Paths)
 	}
-	if !dpor.Ok() || dpor.Completed == 0 {
-		t.Fatalf("dpor: %+v", dpor)
+	if !sleep.Ok() || sleep.Completed == 0 {
+		t.Fatalf("sleep: %+v", sleep)
 	}
-	if dpor.Paths*10 > full.Paths {
-		t.Fatalf("dpor explored %d paths vs %d full: less than 10x reduction", dpor.Paths, full.Paths)
+	if sleep.Paths*10 > full.Paths {
+		t.Fatalf("sleep explored %d paths vs %d full: less than 10x reduction", sleep.Paths, full.Paths)
 	}
-	if !reflect.DeepEqual(terminalKeys(t, full), terminalKeys(t, dpor)) {
+	if !reflect.DeepEqual(terminalKeys(t, full), terminalKeys(t, sleep)) {
 		t.Fatal("terminal states diverged")
 	}
-	t.Logf("6 independent ops: full=%d dpor=%d (%.0fx)", full.Paths, dpor.Paths,
-		float64(full.Paths)/float64(dpor.Paths))
+	t.Logf("6 independent ops: full=%d sleep=%d (%.0fx)", full.Paths, sleep.Paths,
+		float64(full.Paths)/float64(sleep.Paths))
 }
 
 // TestWorkerDeterminism: identical results — counts, violations,
@@ -245,10 +239,10 @@ func TestWorkerDeterminism(t *testing.T) {
 		op(3, 7, op(3, 8)),
 	}
 	nm := newToy(4, roots)
-	for _, red := range []Reduction{ReduceDPOR, ReduceSleep} {
-		base := Run(Config{NewModel: nm, Reduction: red, StateDedup: true, CollectTerminals: true, Workers: 1})
+	for _, red := range []Reduction{ReduceSleep, ReduceNone} {
+		base := Run(Config{NewModel: nm, Reduction: red, CollectTerminals: true, Workers: 1})
 		for _, w := range []int{2, 8} {
-			got := Run(Config{NewModel: nm, Reduction: red, StateDedup: true, CollectTerminals: true, Workers: w})
+			got := Run(Config{NewModel: nm, Reduction: red, CollectTerminals: true, Workers: w})
 			if !reflect.DeepEqual(base, got) {
 				t.Fatalf("%v: workers=%d diverged from workers=1:\n%+v\nvs\n%+v", red, w, base, got)
 			}
@@ -266,8 +260,8 @@ func TestBlockedTransitions(t *testing.T) {
 	consumer := op(1, 9)
 	consumer.blocked = func(state []uint64) bool { return state[0] == 0 }
 	roots := []*toyOp{op(0, 1), consumer}
-	for _, red := range []Reduction{ReduceNone, ReduceSleep, ReduceDPOR} {
-		r := runMode(t, newToy(2, roots), red, red == ReduceSleep)
+	for _, red := range []Reduction{ReduceNone, ReduceSleep} {
+		r := runMode(t, newToy(2, roots), red)
 		if !r.Ok() {
 			t.Fatalf("%v: %+v", red, r.Violations[0])
 		}
@@ -278,7 +272,7 @@ func TestBlockedTransitions(t *testing.T) {
 
 	dead := op(0, 1)
 	dead.blocked = func([]uint64) bool { return true }
-	r := runMode(t, newToy(1, []*toyOp{dead}), ReduceDPOR, false)
+	r := runMode(t, newToy(1, []*toyOp{dead}), ReduceSleep)
 	if r.Stuck == 0 || r.Ok() {
 		t.Fatalf("permanently blocked op not reported: %+v", r)
 	}
@@ -295,8 +289,8 @@ func TestDetectionAndPanics(t *testing.T) {
 	det := op(1, 5)
 	det.detect = true
 	roots := []*toyOp{op(0, 1), det, op(2, 3)}
-	for _, red := range []Reduction{ReduceNone, ReduceSleep, ReduceDPOR} {
-		r := runMode(t, newToy(3, roots), red, red == ReduceSleep)
+	for _, red := range []Reduction{ReduceNone, ReduceSleep} {
+		r := runMode(t, newToy(3, roots), red)
 		if !r.Ok() {
 			t.Fatalf("%v: %+v", red, r.Violations[0])
 		}
@@ -312,8 +306,8 @@ func TestDetectionAndPanics(t *testing.T) {
 		return state[0] == 1*1099511628211+2
 	}
 	proots := []*toyOp{op(0, 1), bomb, op(1, 7)}
-	for _, red := range []Reduction{ReduceNone, ReduceSleep, ReduceDPOR} {
-		r := runMode(t, newToy(2, proots), red, red == ReduceSleep)
+	for _, red := range []Reduction{ReduceNone, ReduceSleep} {
+		r := runMode(t, newToy(2, proots), red)
 		if r.Ok() {
 			t.Fatalf("%v: order-dependent panic not found", red)
 		}

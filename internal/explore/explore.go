@@ -1,51 +1,36 @@
 // Package explore is a shared explicit-state model-checking engine for
 // the coherence protocols: depth-first exploration of nondeterministic
-// event orders (message deliveries, bus arbitration grants) with
-// dynamic partial-order reduction.
+// event orders (message deliveries, bus arbitration grants), pruned by
+// sleep sets and canonical state hashing.
 //
 // The paper motivates speculation precisely by the cost of verifying
 // protocols ("the state space explosion problem ... limits the
 // viability of various formal verification methods"); the snooping
 // corner case of §3.2 was found only "when randomized testing happened
-// to uncover it". The per-protocol harnesses this package replaces
-// (internal/directory/explore.go, internal/snoop/explore.go before
-// PR 4) enumerated *every* interleaving, which capped the provable
+// to uncover it". Enumerating *every* interleaving caps the provable
 // scenarios at two blocks and two or three nodes. This engine prunes
-// the exploration three ways, so the same proofs reach 3+ blocks and
-// 4+ nodes:
+// the exploration two ways, so the same proofs reach 3 blocks and 4
+// nodes:
 //
 //   - Sleep sets (Godefroid): once an event has been explored from a
 //     state, sibling branches carry it in a "sleep set" and never
 //     re-execute it until a dependent event wakes it, cutting the
 //     redundant permutations of commuting events.
-//   - Dynamic partial-order reduction (Flanagan–Godefroid, adapted to
-//     message delivery): instead of branching on every enabled event,
-//     a state initially explores one, and later events that are found
-//     to *race* with it (dependent, in flight at that state, not
-//     causally ordered) are added to its backtrack set on the fly.
-//     DPOR runs combined with sleep sets in the classic way, with the
-//     soundness-critical fallback: a reversal candidate that is
-//     asleep at its backtrack state floods the set instead (an
-//     addition that would never execute loses traces — the pitfall
-//     source-set DPOR later formalized away).
 //   - Canonical state hashing: each reached state is encoded
 //     canonically (in-flight messages as sorted multisets, cache sets
 //     in LRU-rank order, no simulation timestamps or sequence
 //     numbers) and already-visited states prune the subtree, with the
 //     classic sleep-subset side condition.
 //
-// Soundness: sleep sets and DPOR both preserve every reachable local
-// state and every maximal-trace equivalence class, *provided* the
-// independence relation is sound. The engine's default relation is
+// Soundness: sleep sets preserve every reachable local state and every
+// maximal-trace equivalence class, *provided* the independence
+// relation is sound. The engine's relation (DisjointCtrl) is
 // deliberately coarse: two transitions commute only when they target
 // disjoint controllers (and neither is a globally-observed event such
 // as a bus grant), which holds by construction for the protocol models
 // — a delivery mutates only its destination controller plus the
 // in-flight message multiset. State hashing composes soundly with
-// sleep sets (the stored-sleep-subset rule below) but not with DPOR's
-// backtrack bookkeeping (a pruned subtree can no longer wake races in
-// its ancestors — the known stateful-DPOR problem), so enabling
-// ReduceDPOR forces dedup off.
+// sleep sets through the stored-sleep-subset rule.
 //
 // Parallelism: the exploration tree is split at a fixed fork depth
 // into independent subtree tasks (each carrying its entry sleep set),
@@ -77,12 +62,9 @@ type Transition struct {
 	// events reached through different interleavings share a Key.
 	Key uint64
 	// Ctrl is the destination controller, or CtrlGlobal for events
-	// observed by all controllers. The default independence relation
-	// commutes transitions with distinct non-global controllers.
+	// observed by all controllers. The independence relation commutes
+	// transitions with distinct non-global controllers.
 	Ctrl int32
-	// Block is the coherence block the event concerns (diagnostics;
-	// the default independence relation does not consult it).
-	Block int64
 }
 
 // Step is the result of executing one transition.
@@ -157,34 +139,22 @@ type Reduction uint8
 
 // Reduction modes.
 const (
-	// ReduceSleep (the default) is Godefroid sleep sets: every state
-	// explores all its non-slept transitions, so it composes soundly
-	// with state dedup and with the parallel frontier — the mode the
-	// big proof runs use.
+	// ReduceSleep (the default) is Godefroid sleep sets with
+	// visited-state pruning: every state explores all its non-slept
+	// transitions, so it composes soundly with state dedup and with
+	// the parallel frontier — the mode the proof runs use.
 	ReduceSleep Reduction = iota
-	// ReduceDPOR is Flanagan–Godefroid dynamic partial-order reduction
-	// combined with sleep sets: each state initially explores a single
-	// transition, and races discovered downstream add backtrack
-	// points, with the classic fallback (flood the backtrack set when
-	// a reversal candidate is asleep — an added transition must
-	// actually be explorable, or the combination loses traces). State
-	// dedup is forced off: a pruned subtree could no longer wake races
-	// in its ancestors, the known stateful-DPOR problem.
-	ReduceDPOR
-	// ReduceNone is full enumeration — the pre-PR-4 behavior, kept as
-	// the baseline the reduction factors are measured against.
+	// ReduceNone is full enumeration without state dedup, kept as the
+	// oracle the sleep-set equivalence tests and reduction factors are
+	// measured against.
 	ReduceNone
 )
 
 func (r Reduction) String() string {
-	switch r {
-	case ReduceDPOR:
-		return "dpor"
-	case ReduceSleep:
+	if r == ReduceSleep {
 		return "sleep"
-	default:
-		return "none"
 	}
+	return "none"
 }
 
 // Config bounds and parameterizes an exploration.
@@ -193,14 +163,6 @@ type Config struct {
 	NewModel func() Model
 
 	Reduction Reduction
-	// StateDedup enables visited-state pruning (forced off under
-	// ReduceDPOR).
-	StateDedup bool
-	// Independent overrides the independence relation. Nil uses the
-	// default: both controllers non-global and distinct. An override
-	// must be sound (independent transitions commute and never enable
-	// or disable one another) or the reduction proves nothing.
-	Independent func(a, b Transition) bool
 
 	// MaxPaths caps executed interleavings (0 = 1<<20). The cap
 	// applies per subtree task — at every worker count, since the
@@ -210,20 +172,18 @@ type Config struct {
 	// MaxDepth caps transitions per path (0 = 4096); exceeding it is
 	// recorded as a violation, like the runaway guard it replaces.
 	MaxDepth int
-	// MaxVisited caps the visited-state table (0 = 1<<20); beyond it,
-	// new states are explored but no longer recorded.
-	MaxVisited int
 
 	// Workers bounds the worker pool (0 or 1 = serial execution of
 	// the same task decomposition — results are identical for every
 	// value).
 	Workers int
-	// ForkDepth is the frontier split depth (0 = 2; negative = no
-	// fork: one task rooted at the initial state, which maximizes
-	// DPOR's reduction). The fork zone explores every transition not
-	// pruned by sleep-set propagation (sleep mode only), so the task
-	// decomposition depends only on the tree; reductions apply within
-	// tasks.
+	// ForkDepth is the frontier split depth (0 = 2). A negative value
+	// does not fork: one task rooted at the initial state explores the
+	// whole tree, so sleep sets and the visited table act across it —
+	// the unforked tree the reduction factors are measured on. The
+	// fork zone explores every transition not pruned by sleep-set
+	// propagation, so the task decomposition depends only on the tree;
+	// state dedup applies within tasks.
 	ForkDepth int
 
 	// CollectTerminals records the multiset of terminal-state digests
@@ -239,9 +199,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxDepth == 0 {
 		c.MaxDepth = 4096
 	}
-	if c.MaxVisited == 0 {
-		c.MaxVisited = 1 << 20
-	}
 	if c.Workers <= 0 {
 		c.Workers = 1
 	}
@@ -250,20 +207,14 @@ func (c Config) withDefaults() Config {
 	} else if c.ForkDepth < 0 {
 		c.ForkDepth = 0 // single task rooted at the initial state
 	}
-	if c.Independent == nil {
-		c.Independent = DisjointCtrl
-	}
-	if c.Reduction == ReduceDPOR {
-		c.StateDedup = false
-	}
 	return c
 }
 
-// DisjointCtrl is the default independence relation: two transitions
-// commute iff both target specific, distinct controllers. It is sound
-// for the protocol models because a delivery mutates only its
-// destination controller and appends to the (order-free) in-flight
-// message multiset.
+// DisjointCtrl is the independence relation: two transitions commute
+// iff both target specific, distinct controllers. It is sound for the
+// protocol models because a delivery mutates only its destination
+// controller and appends to the (order-free) in-flight message
+// multiset.
 func DisjointCtrl(a, b Transition) bool {
 	return a.Ctrl != CtrlGlobal && b.Ctrl != CtrlGlobal && a.Ctrl != b.Ctrl
 }

@@ -157,7 +157,7 @@ func (x *expander) walk(choices []uint64, sleep []sleepEntry, level int) {
 			blockedAll = false
 			var child []sleepEntry
 			for _, s := range cur {
-				if x.cfg.Independent(s.meta, t) {
+				if DisjointCtrl(s.meta, t) {
 					child = append(child, s)
 				}
 			}

@@ -44,12 +44,11 @@ type SExploreConfig struct {
 	MaxDepth int
 
 	// Reduce selects the pruning mode (zero = sleep sets + state
-	// dedup); NoDedup disables visited-state pruning. Workers and
+	// dedup). Workers and
 	// ForkDepth tune the parallel frontier (results are identical for
 	// every worker count). CollectTerminals records terminal-state
 	// digests for cross-mode equivalence tests.
 	Reduce           explore.Reduction
-	NoDedup          bool
 	Workers          int
 	ForkDepth        int
 	CollectTerminals bool
@@ -91,7 +90,6 @@ func ExploreSnoop(cfg SExploreConfig) SExploreResult {
 	er := explore.Run(explore.Config{
 		NewModel:         func() explore.Model { return newSnoopModel(cfg) },
 		Reduction:        cfg.Reduce,
-		StateDedup:       !cfg.NoDedup,
 		MaxPaths:         cfg.MaxPaths,
 		MaxDepth:         cfg.MaxDepth,
 		Workers:          cfg.Workers,

@@ -124,27 +124,24 @@ func TestSnoopExploreSharingScenario(t *testing.T) {
 	}
 }
 
-// TestSnoopExploreModeEquivalence: every reduction mode reaches the
-// same terminal states on the enumerable pre-PR-4 corner scenario —
+// TestSnoopExploreModeEquivalence: both reduction modes reach the same
+// terminal states on the enumerable 2-block corner scenario —
 // the protocol-level soundness check of the independence relation
 // (bus grants global, data deliveries per-cache).
 func TestSnoopExploreModeEquivalence(t *testing.T) {
 	terminals := map[string][]explore.Digest{}
 	for _, m := range []struct {
-		name    string
-		reduce  explore.Reduction
-		noDedup bool
+		name   string
+		reduce explore.Reduction
 	}{
-		{"none", explore.ReduceNone, true},
-		{"sleep", explore.ReduceSleep, false},
-		{"dpor", explore.ReduceDPOR, true},
+		{"none", explore.ReduceNone},
+		{"sleep", explore.ReduceSleep},
 	} {
 		res := ExploreSnoop(SExploreConfig{
 			Variant:          Spec,
 			Nodes:            3,
 			Script:           cornerScript(),
 			Reduce:           m.reduce,
-			NoDedup:          m.noDedup,
 			CollectTerminals: true,
 		})
 		if !res.Ok() {
@@ -165,26 +162,22 @@ func TestSnoopExploreModeEquivalence(t *testing.T) {
 		t.Fatalf("sleep reduction lost terminal states: %d vs %d",
 			len(terminals["sleep"]), len(terminals["none"]))
 	}
-	if !reflect.DeepEqual(terminals["none"], terminals["dpor"]) {
-		t.Fatalf("dpor reduction lost terminal states: %d vs %d",
-			len(terminals["dpor"]), len(terminals["none"]))
-	}
 }
 
 // TestSnoopExploreReductionRatio pins the acceptance bar on the
-// pre-PR-4 2-block corner script: the default reduction (sleep sets +
-// state dedup) explores at least 10x fewer interleavings than full
-// enumeration. Pure DPOR helps little here by construction — the
-// snooping address network is a totally ordered broadcast, so every
-// pair of bus grants is dependent and commutation-based reduction has
-// only the data deliveries to work with; it is the state-hash dedup
-// that collapses the grant orders (contrast the directory protocol,
-// whose unordered interconnect gives DPOR its 10x+ on its own). DPOR
-// must still be sound: no more paths than full enumeration.
+// 2-block corner script: the default reduction (sleep sets + state
+// dedup) explores at least 10x fewer interleavings than full
+// enumeration. Commutation alone helps little here — the snooping
+// address network is a totally ordered broadcast, so every pair of bus
+// grants is dependent and sleep sets have only the data deliveries to
+// work with; it is the state-hash dedup that collapses the grant
+// orders, and it does so across the whole tree only when the frontier
+// is not forked (17 paths unforked, 34 at the default fork depth,
+// against 182 under full enumeration).
 func TestSnoopExploreReductionRatio(t *testing.T) {
 	full := ExploreSnoop(SExploreConfig{
 		Variant: Spec, Nodes: 3, Script: cornerScript(),
-		Reduce: explore.ReduceNone, NoDedup: true, MaxPaths: 60_000,
+		Reduce: explore.ReduceNone, MaxPaths: 60_000,
 	})
 	if full.Truncated {
 		t.Fatalf("baseline truncated at %d paths", full.Paths)
@@ -199,19 +192,8 @@ func TestSnoopExploreReductionRatio(t *testing.T) {
 		t.Fatalf("default reduction explored %d paths vs %d full enumeration: less than 10x",
 			def.Paths, full.Paths)
 	}
-	dpor := ExploreSnoop(SExploreConfig{
-		Variant: Spec, Nodes: 3, Script: cornerScript(),
-		Reduce: explore.ReduceDPOR, NoDedup: true, ForkDepth: -1,
-	})
-	if !dpor.Ok() || dpor.Truncated {
-		t.Fatalf("dpor: %+v", dpor)
-	}
-	if dpor.Paths > full.Paths {
-		t.Fatalf("dpor explored more paths (%d) than full enumeration (%d)", dpor.Paths, full.Paths)
-	}
-	t.Logf("full=%d default=%d (%.0fx) dpor=%d (%.1fx)", full.Paths,
-		def.Paths, float64(full.Paths)/float64(def.Paths),
-		dpor.Paths, float64(full.Paths)/float64(dpor.Paths))
+	t.Logf("full=%d default=%d (%.0fx)", full.Paths,
+		def.Paths, float64(full.Paths)/float64(def.Paths))
 }
 
 // TestSnoopExploreWorkerDeterminism: bit-identical results for every

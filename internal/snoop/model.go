@@ -204,23 +204,21 @@ func snoopKey(ev snoopEvent) uint64 {
 }
 
 func (m *snoopModel) Enabled(buf []explore.Transition) []explore.Transition {
-	for i, id := range m.bus.ids {
+	for _, id := range m.bus.ids {
 		ev := m.events[id]
 		buf = append(buf, explore.Transition{
 			ID:  id,
 			Key: snoopKey(ev),
 			// A grant is observed by every controller: global.
-			Ctrl:  explore.CtrlGlobal,
-			Block: int64(uint64(m.bus.queue[i].Addr) / coherence.BlockBytes),
+			Ctrl: explore.CtrlGlobal,
 		})
 	}
 	for i, id := range m.f.ids {
 		ev := m.events[id]
 		buf = append(buf, explore.Transition{
-			ID:    id,
-			Key:   snoopKey(ev),
-			Ctrl:  int32(m.f.queue[i].Dst),
-			Block: int64(uint64(ev.msg.Addr) / coherence.BlockBytes),
+			ID:   id,
+			Key:  snoopKey(ev),
+			Ctrl: int32(m.f.queue[i].Dst),
 		})
 	}
 	return buf
