@@ -10,10 +10,11 @@
 // within the explored bounds: every interleaving either completes with
 // intact invariants or stops at the single designated detection — the
 // reordered-forward for the directory protocol (§3.1), the WB_AI corner
-// case for the snooping protocol (§3.2). Dynamic partial-order
-// reduction and canonical state hashing push those proofs to 3-block,
-// 4-node scenarios (including the Dir_i_B imprecise-sharer paths) that
-// full enumeration cannot finish.
+// case for the snooping protocol (§3.2). Sleep sets and canonical
+// state hashing push those proofs to 3-block, 4-node scenarios
+// (including the Dir_i_B imprecise-sharer paths) that full enumeration
+// cannot finish. The scenarios are the protocols' own tables
+// (directory.Scenarios, snoop.Scenarios).
 //
 // Usage:
 //
@@ -34,183 +35,54 @@ import (
 	"strings"
 	"time"
 
-	"specsimp/internal/coherence"
 	"specsimp/internal/directory"
 	"specsimp/internal/explore"
 	"specsimp/internal/snoop"
 )
 
-var (
-	blkA = coherence.Addr(0)
-	blkB = coherence.Addr(4 * 64)
-	blkC = coherence.Addr(8 * 64)
-)
-
-type dirScenario struct {
-	name   string
-	nodes  int
-	script [][]directory.ScriptOp
-	// sharers/pointers override the directory-entry format (overflow
-	// scenarios).
-	sharers  directory.SharerFormat
-	pointers int
+// A check is one scenario of a protocol's table under one variant.
+type check struct {
+	protocol string
+	explore.Scenario
+	full  bool
+	model func() explore.Model
 }
 
-func dirScenarios() []dirScenario {
-	return []dirScenario{
-		{
-			// The §3.1 writeback/forward race.
-			name:  "race",
-			nodes: 4,
-			script: [][]directory.ScriptOp{
-				1: {{Addr: blkA, Kind: coherence.Store}, {Addr: blkB, Kind: coherence.Store}, {Addr: blkC, Kind: coherence.Store}},
-				2: {{Addr: blkA, Kind: coherence.Store}},
-				3: {},
-			},
-		},
-		{
-			// The scaled proof: 3 blocks, 4 active nodes, overlapping
-			// writeback races — detection fires with other transactions
-			// mid-flight.
-			name:  "race-3x4",
-			nodes: 4,
-			script: [][]directory.ScriptOp{
-				0: {{Addr: blkA, Kind: coherence.Store}, {Addr: blkB, Kind: coherence.Store}, {Addr: blkC, Kind: coherence.Store}},
-				1: {{Addr: blkB, Kind: coherence.Store}, {Addr: blkC, Kind: coherence.Store}},
-				2: {{Addr: blkA, Kind: coherence.Store}},
-				3: {{Addr: blkB, Kind: coherence.Load}},
-			},
-		},
-		{
-			// Readers invalidated by competing writers.
-			name:  "share-invalidate",
-			nodes: 4,
-			script: [][]directory.ScriptOp{
-				0: {{Addr: blkA, Kind: coherence.Load}, {Addr: blkA, Kind: coherence.Store}},
-				1: {{Addr: blkA, Kind: coherence.Load}},
-				2: {{Addr: blkA, Kind: coherence.Store}},
-				3: {},
-			},
-		},
-		{
-			// Competing upgrades from S.
-			name:  "upgrade-race",
-			nodes: 4,
-			script: [][]directory.ScriptOp{
-				0: {{Addr: blkA, Kind: coherence.Load}, {Addr: blkA, Kind: coherence.Store}},
-				1: {{Addr: blkA, Kind: coherence.Load}, {Addr: blkA, Kind: coherence.Store}},
-				2: {},
-				3: {},
-			},
-		},
-		{
-			// Writeback racing a read.
-			name:  "race-gets",
-			nodes: 4,
-			script: [][]directory.ScriptOp{
-				1: {{Addr: blkA, Kind: coherence.Store}, {Addr: blkB, Kind: coherence.Store}, {Addr: blkC, Kind: coherence.Store}},
-				2: {{Addr: blkA, Kind: coherence.Load}},
-				3: {},
-			},
-		},
-		{
-			// Dir_1_B overflow: the second sharer degrades the entry to
-			// broadcast, so invalidations are imprecise (PR-3 paths).
-			name:  "sharer-overflow",
-			nodes: 4,
-			script: [][]directory.ScriptOp{
-				0: {{Addr: blkA, Kind: coherence.Load}},
-				1: {{Addr: blkA, Kind: coherence.Load}},
-				2: {{Addr: blkA, Kind: coherence.Load}, {Addr: blkA, Kind: coherence.Store}},
-				3: {{Addr: blkA, Kind: coherence.Store}, {Addr: blkB, Kind: coherence.Store}},
-			},
-			sharers:  directory.LimitedPointer,
-			pointers: 1,
-		},
+// checks lists both protocols' tables, directory first, each scenario
+// under its Full then its Spec variant.
+func checks() []check {
+	var cs []check
+	for _, sc := range directory.Scenarios() {
+		for _, v := range []directory.Variant{directory.Full, directory.Spec} {
+			cs = append(cs, check{"directory", sc.Scenario, v == directory.Full, directory.NewModel(sc, v)})
+		}
 	}
-}
-
-type snoopScenario struct {
-	name   string
-	nodes  int
-	script [][]snoop.SScriptOp
-}
-
-// Blocks that collide in the explorer's single-frame snoop L2.
-var (
-	sBlkA = coherence.Addr(0x000)
-	sBlkB = coherence.Addr(0x400)
-	sBlkC = coherence.Addr(0x800)
-)
-
-func snoopScenarios() []snoopScenario {
-	return []snoopScenario{
-		{
-			// The §3.2 corner: a writeback in flight while two foreign
-			// stores compete for the block.
-			name:  "corner",
-			nodes: 3,
-			script: [][]snoop.SScriptOp{
-				0: {{Addr: sBlkA, Kind: coherence.Store}, {Addr: sBlkB, Kind: coherence.Store}},
-				1: {{Addr: sBlkA, Kind: coherence.Store}},
-				2: {{Addr: sBlkA, Kind: coherence.Store}},
-			},
-		},
-		{
-			// The scaled proof: the same corner with a fourth node and a
-			// third block mid-flight at detection time.
-			name:  "corner-3x4",
-			nodes: 4,
-			script: [][]snoop.SScriptOp{
-				0: {{Addr: sBlkA, Kind: coherence.Store}, {Addr: sBlkB, Kind: coherence.Store}},
-				1: {{Addr: sBlkA, Kind: coherence.Store}},
-				2: {{Addr: sBlkA, Kind: coherence.Store}},
-				3: {{Addr: sBlkC, Kind: coherence.Store}, {Addr: sBlkC, Kind: coherence.Load}},
-			},
-		},
-		{
-			// Read-share/invalidate without writebacks.
-			name:  "share-invalidate",
-			nodes: 4,
-			script: [][]snoop.SScriptOp{
-				0: {{Addr: sBlkA, Kind: coherence.Load}, {Addr: sBlkA, Kind: coherence.Store}},
-				1: {{Addr: sBlkA, Kind: coherence.Load}},
-				2: {{Addr: sBlkA, Kind: coherence.Store}},
-				3: {{Addr: sBlkC, Kind: coherence.Load}},
-			},
-		},
-		{
-			// Writeback racing a read.
-			name:  "corner-gets",
-			nodes: 3,
-			script: [][]snoop.SScriptOp{
-				0: {{Addr: sBlkA, Kind: coherence.Store}, {Addr: sBlkB, Kind: coherence.Store}},
-				1: {{Addr: sBlkA, Kind: coherence.Load}},
-				2: {{Addr: sBlkA, Kind: coherence.Store}},
-			},
-		},
+	for _, sc := range snoop.Scenarios() {
+		for _, v := range []snoop.Variant{snoop.Full, snoop.Spec} {
+			cs = append(cs, check{"snoop", sc, v == snoop.Full, snoop.NewModel(sc, v)})
+		}
 	}
+	return cs
+}
+
+// protocols gives, per protocol, the line reporting a Full variant's
+// explore.Result.Flagged count and the race its detecting scenarios
+// target.
+var protocols = map[string]struct{ flagged, target string }{
+	"directory": {"writeback race exercised on %d completed paths", "race"},
+	"snoop":     {"corner case absorbed by the specified transition on %d paths", "corner"},
 }
 
 // validate checks every flag value before anything runs and returns
 // the selected reduction.
 func validate(protocol, scenario, reduce string, maxPaths, depth, workers int) (explore.Reduction, error) {
-	var names []string
-	switch protocol {
-	case "all", "directory", "snoop":
-	default:
+	if _, ok := protocols[protocol]; !ok && protocol != "all" {
 		return 0, fmt.Errorf("unknown -protocol %q (want directory, snoop or all)", protocol)
 	}
-	if protocol != "snoop" {
-		for _, sc := range dirScenarios() {
-			names = append(names, sc.name)
-		}
-	}
-	if protocol != "directory" {
-		for _, sc := range snoopScenarios() {
-			if !slices.Contains(names, sc.name) {
-				names = append(names, sc.name)
-			}
+	var names []string
+	for _, c := range checks() {
+		if (protocol == "all" || c.protocol == protocol) && !slices.Contains(names, c.Name) {
+			names = append(names, c.Name)
 		}
 	}
 	if scenario != "all" && !slices.Contains(names, scenario) {
@@ -269,67 +141,33 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	failed := false
-	if *protocol == "all" || *protocol == "directory" {
-		for _, sc := range dirScenarios() {
-			if *which != "all" && *which != sc.name {
-				continue
-			}
-			for _, v := range []directory.Variant{directory.Full, directory.Spec} {
-				start := time.Now()
-				res := directory.Explore(directory.ExploreConfig{
-					Variant:        v,
-					Nodes:          sc.nodes,
-					Script:         sc.script,
-					MaxPaths:       *maxPaths,
-					MaxDepth:       *depth,
-					Sharers:        sc.sharers,
-					SharerPointers: sc.pointers,
-					Reduce:         reduce,
-					Workers:        *workers,
-				})
-				report(stdout, "directory", sc.name, fmt.Sprint(v), res.Paths, res.Completed,
-					res.Detected, res.Truncated, res.Violations, start, &failed)
-				if *stats {
-					statline(stdout, res.SleepCut, res.VisitedCut, res.Transitions, res.Replayed, res.Tasks)
-				}
-				if v == directory.Spec && res.Detected == 0 &&
-					(sc.name == "race" || sc.name == "race-gets" || sc.name == "race-3x4") {
-					fmt.Fprintln(stdout, "    warning: race scenario never triggered detection")
-				}
-				if v == directory.Full && res.RacesExercised > 0 && *stats {
-					fmt.Fprintf(stdout, "    writeback race exercised on %d completed paths\n", res.RacesExercised)
-				}
-			}
+	for _, c := range checks() {
+		if (*protocol != "all" && *protocol != c.protocol) || (*which != "all" && *which != c.Name) {
+			continue
 		}
-	}
-	if *protocol == "all" || *protocol == "snoop" {
-		for _, sc := range snoopScenarios() {
-			if *which != "all" && *which != sc.name {
-				continue
-			}
-			for _, v := range []snoop.Variant{snoop.Full, snoop.Spec} {
-				start := time.Now()
-				res := snoop.ExploreSnoop(snoop.SExploreConfig{
-					Variant:  v,
-					Nodes:    sc.nodes,
-					Script:   sc.script,
-					MaxPaths: *maxPaths,
-					MaxDepth: *depth,
-					Reduce:   reduce,
-					Workers:  *workers,
-				})
-				report(stdout, "snoop", sc.name, fmt.Sprint(v), res.Paths, res.Completed,
-					res.Detected, res.Truncated, res.Violations, start, &failed)
-				if *stats {
-					statline(stdout, res.SleepCut, res.VisitedCut, res.Transitions, res.Replayed, res.Tasks)
-				}
-				if v == snoop.Spec && res.Detected == 0 && (sc.name == "corner" || sc.name == "corner-3x4") {
-					fmt.Fprintln(stdout, "    warning: corner scenario never triggered detection")
-				}
-				if v == snoop.Full && res.CornerHandled > 0 {
-					fmt.Fprintf(stdout, "    corner case absorbed by the specified transition on %d paths\n", res.CornerHandled)
-				}
-			}
+		start := time.Now()
+		res := explore.Run(explore.Config{
+			NewModel:  c.model,
+			Reduction: reduce,
+			MaxPaths:  *maxPaths,
+			MaxDepth:  *depth,
+			Workers:   *workers,
+		})
+		variant := "spec"
+		if c.full {
+			variant = "full"
+		}
+		failed = report(stdout, c.protocol, c.Name, variant, &res, start) || failed
+		if *stats {
+			fmt.Fprintf(stdout, "    pruned: %d sleep-cut + %d visited-cut subtrees; %d transitions (+%d replayed) over %d tasks\n",
+				res.SleepCut, res.VisitedCut, res.Transitions, res.Replayed, res.Tasks)
+		}
+		p := protocols[c.protocol]
+		if !c.full && c.SpecDetects && res.Detected == 0 {
+			fmt.Fprintf(stdout, "    warning: %s scenario never triggered detection\n", p.target)
+		}
+		if c.full && res.Flagged > 0 {
+			fmt.Fprintf(stdout, "    "+p.flagged+"\n", res.Flagged)
 		}
 	}
 	if failed {
@@ -341,29 +179,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-func report(w io.Writer, proto, name, variant string, paths, completed, detected int, truncated bool,
-	violations []string, start time.Time, failed *bool) {
+// report prints one exploration's result line and its first
+// violations, and reports whether it failed.
+func report(w io.Writer, proto, name, variant string, res *explore.Result, start time.Time) bool {
 	status := "OK"
-	if len(violations) > 0 {
+	if !res.Ok() {
 		status = "FAIL"
-		*failed = true
 	}
 	trunc := ""
-	if truncated {
+	if res.Truncated {
 		trunc = " (budget exhausted)"
 	}
 	fmt.Fprintf(w, "%-10s %-18s %-5s %-4s %8d interleavings: %d completed, %d detected%s  [%.1fs]\n",
-		proto, name, variant, status, paths, completed, detected, trunc, time.Since(start).Seconds())
-	for i, viol := range violations {
+		proto, name, variant, status, res.Paths, res.Completed, res.Detected, trunc, time.Since(start).Seconds())
+	for i, v := range res.Violations {
 		if i == 3 {
-			fmt.Fprintf(w, "    ... %d more\n", len(violations)-3)
+			fmt.Fprintf(w, "    ... %d more\n", len(res.Violations)-3)
 			break
 		}
-		fmt.Fprintf(w, "    %s\n", viol)
+		fmt.Fprintf(w, "    %s\n", v)
 	}
-}
-
-func statline(w io.Writer, sleepCut, visitedCut int, transitions, replayed uint64, tasks int) {
-	fmt.Fprintf(w, "    pruned: %d sleep-cut + %d visited-cut subtrees; %d transitions (+%d replayed) over %d tasks\n",
-		sleepCut, visitedCut, transitions, replayed, tasks)
+	return !res.Ok()
 }

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -30,18 +31,10 @@ func verifyOutput(t *testing.T, args ...string) string {
 // (directory first); a name both protocols use runs under both.
 func scenarioNames() []string {
 	var names []string
-	seen := map[string]bool{}
-	add := func(n string) {
-		if !seen[n] {
-			seen[n] = true
-			names = append(names, n)
+	for _, c := range checks() {
+		if !slices.Contains(names, c.Name) {
+			names = append(names, c.Name)
 		}
-	}
-	for _, sc := range dirScenarios() {
-		add(sc.name)
-	}
-	for _, sc := range snoopScenarios() {
-		add(sc.name)
 	}
 	return names
 }

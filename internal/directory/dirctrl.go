@@ -188,7 +188,7 @@ func (d *dirCtrl) handlePutM(msg coherence.Msg) {
 			// network) — cross-vnet reordering the protocol must
 			// tolerate. Defer the writeback behind the FinalAck.
 			// (Found by exhaustive interleaving exploration; see
-			// explore.go.)
+			// model.go.)
 			d.queue[a] = append(d.queue[a], msg)
 			return
 		}

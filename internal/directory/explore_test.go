@@ -4,44 +4,32 @@ import (
 	"reflect"
 	"testing"
 
-	"specsimp/internal/coherence"
 	"specsimp/internal/explore"
 )
 
-// raceScript provokes the §3.1 writeback race: node 1 acquires A, then
-// evicts it via B and C (1-set 2-way cache) while node 2 competes for A.
-func raceScript() [][]ScriptOp {
-	return [][]ScriptOp{
-		0: {},
-		1: {{blkA, coherence.Store}, {blkB, coherence.Store}, {blkC, coherence.Store}},
-		2: {{blkA, coherence.Store}},
+// scenario returns the named entry of Scenarios.
+func scenario(t *testing.T, name string) Scenario {
+	t.Helper()
+	for _, sc := range Scenarios() {
+		if sc.Name == name {
+			return sc
+		}
 	}
+	t.Fatalf("no directory scenario %q", name)
+	return Scenario{}
 }
 
-// wideScript is the scaled proof scenario: three blocks, four active
-// nodes, two writeback races in flight at once (nodes 0 and 1 both
-// evict contested blocks while nodes 2 and 3 compete for them). This
-// is the "recovery mid-flight" shape: when the Spec variant detects on
-// one block, other transactions are still in flight and
-// ResetTransients must clear them all (checked by the model).
-func wideScript() [][]ScriptOp {
-	return [][]ScriptOp{
-		0: {{blkA, coherence.Store}, {blkB, coherence.Store}, {blkC, coherence.Store}},
-		1: {{blkB, coherence.Store}, {blkC, coherence.Store}},
-		2: {{blkA, coherence.Store}},
-		3: {{blkB, coherence.Load}},
-	}
+// runScenario explores sc's model for variant v under cfg.
+func runScenario(sc Scenario, v Variant, cfg explore.Config) explore.Result {
+	cfg.NewModel = NewModel(sc, v)
+	return explore.Run(cfg)
 }
 
 // TestExploreFullNoMisSpeculation: across every explored interleaving
 // the full protocol completes with intact invariants and never
 // mis-speculates.
 func TestExploreFullNoMisSpeculation(t *testing.T) {
-	res := Explore(ExploreConfig{
-		Variant: Full,
-		Nodes:   4,
-		Script:  raceScript(),
-	})
+	res := runScenario(scenario(t, "race"), Full, explore.Config{})
 	if !res.Ok() {
 		t.Fatalf("violations (%d), first: %s", len(res.Violations), res.Violations[0])
 	}
@@ -54,11 +42,11 @@ func TestExploreFullNoMisSpeculation(t *testing.T) {
 	if res.Completed != res.Paths {
 		t.Fatalf("completed %d of %d paths", res.Completed, res.Paths)
 	}
-	if res.RacesExercised == 0 {
+	if res.Flagged == 0 {
 		t.Fatal("no path exercised the writeback race; the scenario proves nothing")
 	}
 	t.Logf("full: %d paths (+%d sleep-cut, +%d visited-cut), race on %d",
-		res.Paths, res.SleepCut, res.VisitedCut, res.RacesExercised)
+		res.Paths, res.SleepCut, res.VisitedCut, res.Flagged)
 }
 
 // TestExploreSpecDetectsAllViolations is the framework's feature (2)
@@ -67,11 +55,7 @@ func TestExploreFullNoMisSpeculation(t *testing.T) {
 // never a third outcome (silent corruption, unspecified transition
 // panic, or stuck protocol).
 func TestExploreSpecDetectsAllViolations(t *testing.T) {
-	res := Explore(ExploreConfig{
-		Variant: Spec,
-		Nodes:   4,
-		Script:  raceScript(),
-	})
+	res := runScenario(scenario(t, "race"), Spec, explore.Config{})
 	if !res.Ok() {
 		t.Fatalf("violations (%d), first: %s", len(res.Violations), res.Violations[0])
 	}
@@ -108,12 +92,9 @@ func TestExploreThreeBlocksFourNodes(t *testing.T) {
 		Spec: {paths: 1417, completed: 552, detected: 865, sleepCut: 3203, visitedCut: 64353, flagged: 160,
 			tasks: 16, transitions: 134411, replayed: 1138833},
 	}
+	sc := scenario(t, "race-3x4")
 	for _, v := range []Variant{Full, Spec} {
-		res := Explore(ExploreConfig{
-			Variant: v,
-			Nodes:   4,
-			Script:  wideScript(),
-		})
+		res := runScenario(sc, v, explore.Config{})
 		if !res.Ok() {
 			t.Fatalf("%s: violations (%d), first: %s", v, len(res.Violations), res.Violations[0])
 		}
@@ -121,7 +102,7 @@ func TestExploreThreeBlocksFourNodes(t *testing.T) {
 			t.Fatalf("%s: truncated; the proof is not exhaustive", v)
 		}
 		got := counts{res.Paths, res.Completed, res.Detected, res.SleepCut, res.VisitedCut,
-			res.RacesExercised, res.Tasks, res.Transitions, res.Replayed}
+			res.Flagged, res.Tasks, res.Transitions, res.Replayed}
 		if got != want[v] {
 			t.Fatalf("%s 3x4 counts moved:\n got %+v\nwant %+v", v, got, want[v])
 		}
@@ -137,21 +118,9 @@ func TestExploreThreeBlocksFourNodes(t *testing.T) {
 // through eviction races — invalidations landing on writeback TBEs).
 // Every interleaving must still complete with intact invariants.
 func TestExploreImpreciseSharerOverflow(t *testing.T) {
-	script := [][]ScriptOp{
-		0: {{blkA, coherence.Load}},
-		1: {{blkA, coherence.Load}},
-		2: {{blkA, coherence.Load}, {blkA, coherence.Store}},
-		3: {{blkA, coherence.Store}, {blkB, coherence.Store}},
-	}
+	sc := scenario(t, "sharer-overflow")
 	for _, v := range []Variant{Full, Spec} {
-		cfg := ExploreConfig{
-			Variant:        v,
-			Nodes:          4,
-			Script:         script,
-			Sharers:        LimitedPointer,
-			SharerPointers: 1,
-		}
-		res := Explore(cfg)
+		res := runScenario(sc, v, explore.Config{})
 		if !res.Ok() {
 			t.Fatalf("%s: %s", v, res.Violations[0])
 		}
@@ -162,7 +131,7 @@ func TestExploreImpreciseSharerOverflow(t *testing.T) {
 
 		// The scenario must actually overflow: replay one canonical
 		// path on a bare model and observe the counter.
-		m := newDirModel(cfg)
+		m := NewModel(sc, v)().(*dirModel)
 		m.Reset()
 		for {
 			tr := m.Enabled(nil)
@@ -190,13 +159,8 @@ func TestExploreImpreciseSharerOverflow(t *testing.T) {
 // with no writebacks: both variants must complete every interleaving
 // with zero detections.
 func TestExploreSharingScenario(t *testing.T) {
-	script := [][]ScriptOp{
-		0: {{blkA, coherence.Load}, {blkA, coherence.Store}},
-		1: {{blkA, coherence.Load}},
-		2: {{blkA, coherence.Store}},
-	}
 	for _, v := range []Variant{Full, Spec} {
-		res := Explore(ExploreConfig{Variant: v, Nodes: 4, Script: script})
+		res := runScenario(scenario(t, "share-invalidate"), v, explore.Config{})
 		if !res.Ok() {
 			t.Fatalf("%s: %s", v, res.Violations[0])
 		}
@@ -209,12 +173,7 @@ func TestExploreSharingScenario(t *testing.T) {
 
 // TestExploreUpgradeScenario explores competing upgrades from S.
 func TestExploreUpgradeScenario(t *testing.T) {
-	script := [][]ScriptOp{
-		0: {{blkA, coherence.Load}, {blkA, coherence.Store}},
-		1: {{blkA, coherence.Load}, {blkA, coherence.Store}},
-		2: {},
-	}
-	res := Explore(ExploreConfig{Variant: Full, Nodes: 4, Script: script})
+	res := runScenario(scenario(t, "upgrade-race"), Full, explore.Config{})
 	if !res.Ok() {
 		t.Fatalf("%s", res.Violations[0])
 	}
@@ -233,10 +192,10 @@ func TestExploreModeEquivalence(t *testing.T) {
 	// the hardest case for the commutation assumption — are part of
 	// the compared terminal sets (Spec detects on 64 paths here under
 	// full enumeration).
-	script := [][]ScriptOp{
-		0: {{blkA, coherence.Store}, {blkB, coherence.Store}, {blkC, coherence.Store}},
-		1: {{blkA, coherence.Store}},
-	}
+	sc := Scenario{Scenario: explore.Scenario{Name: "evict-race", Nodes: 3, Script: [][]explore.Op{
+		0: {st(blkA), st(blkB), st(blkC)},
+		1: {st(blkA)},
+	}}}
 	sawDetection := false
 	terminals := map[string][]explore.Digest{}
 	for _, m := range []struct {
@@ -246,13 +205,7 @@ func TestExploreModeEquivalence(t *testing.T) {
 		{"none", explore.ReduceNone},
 		{"sleep", explore.ReduceSleep},
 	} {
-		res := Explore(ExploreConfig{
-			Variant:          Spec,
-			Nodes:            3,
-			Script:           script,
-			Reduce:           m.reduce,
-			CollectTerminals: true,
-		})
+		res := runScenario(sc, Spec, explore.Config{Reduction: m.reduce, CollectTerminals: true})
 		if !res.Ok() {
 			t.Fatalf("%s: %s", m.name, res.Violations[0])
 		}
@@ -284,15 +237,10 @@ func TestExploreModeEquivalence(t *testing.T) {
 // script, sleep sets + state dedup explore at least 10x fewer
 // interleavings than full enumeration.
 func TestExploreReductionRatio(t *testing.T) {
-	budget := 60_000
-	full := Explore(ExploreConfig{
-		Variant: Spec, Nodes: 4, Script: raceScript(),
-		Reduce: explore.ReduceNone, MaxPaths: budget,
-	})
+	sc := scenario(t, "race")
+	full := runScenario(sc, Spec, explore.Config{Reduction: explore.ReduceNone, MaxPaths: 60_000})
 	fullPaths := full.Paths // a lower bound when truncated
-	res := Explore(ExploreConfig{
-		Variant: Spec, Nodes: 4, Script: raceScript(), ForkDepth: -1,
-	})
+	res := runScenario(sc, Spec, explore.Config{ForkDepth: -1})
 	if !res.Ok() {
 		t.Fatalf("sleep+dedup: %s", res.Violations[0])
 	}
@@ -311,15 +259,10 @@ func TestExploreReductionRatio(t *testing.T) {
 // bit-identical results — counts, violations, terminal digests — for
 // every worker count (run with -race in CI).
 func TestExploreWorkerDeterminism(t *testing.T) {
-	base := Explore(ExploreConfig{
-		Variant: Spec, Nodes: 4, Script: raceScript(),
-		Workers: 1, CollectTerminals: true,
-	})
+	sc := scenario(t, "race")
+	base := runScenario(sc, Spec, explore.Config{Workers: 1, CollectTerminals: true})
 	for _, w := range []int{2, 8} {
-		got := Explore(ExploreConfig{
-			Variant: Spec, Nodes: 4, Script: raceScript(),
-			Workers: w, CollectTerminals: true,
-		})
+		got := runScenario(sc, Spec, explore.Config{Workers: w, CollectTerminals: true})
 		if !reflect.DeepEqual(base, got) {
 			t.Fatalf("workers=%d diverged from workers=1:\n%+v\nvs\n%+v", w, base, got)
 		}

@@ -1,161 +1,150 @@
 package directory
 
 import (
-	"fmt"
 	"slices"
 
-	"specsimp/internal/cache"
 	"specsimp/internal/coherence"
 	"specsimp/internal/explore"
-	"specsimp/internal/network"
-	"specsimp/internal/sim"
 )
 
-// This file adapts the directory protocol to the shared model-checking
-// engine (internal/explore): a dirModel is a deterministic transition
-// system whose transitions are deliveries of in-flight messages, with
-// a canonical state encoding for visited-set pruning.
+// This file is the directory protocol's model for the shared
+// model-checking engine (internal/explore): a dirModel is a
+// deterministic transition system whose transitions are deliveries of
+// in-flight messages, with a canonical state encoding for visited-set
+// pruning. Scenarios lists the scenarios it verifies.
+//
+// The paper's §3 motivates speculation precisely by the cost of
+// verifying protocols ("the state space explosion problem ... limits
+// the viability of various formal verification methods"). Within the
+// explored bounds the engine *proves* the paper's framework feature (2)
+// — detection of **all** mis-speculations — by checking that the Spec
+// variant, under every possible interleaving, either completes with
+// intact invariants or detects the violation at its single designated
+// invalid transition, and that the Full variant never mis-speculates
+// at all. Sleep sets and state hashing (see internal/explore) take the
+// provable scenarios from 2 blocks × 2–3 active nodes to 3 blocks × 4
+// nodes.
 
-// modelFabric delivers messages under engine control: sends queue with
-// a deterministic ID (mint order), and the engine picks which in-flight
-// message arrives next.
-type modelFabric struct {
-	nodes   int
-	clients []network.Client
-	queue   []*network.Message
-	ids     []uint64
-	nextID  uint64
-	// payloads keeps a value copy of each sent message for transition
-	// keys and counterexample rendering (the pooled payload box is
-	// recycled at delivery). Reset clears it, so it holds one path's
-	// sends at most.
-	payloads map[uint64]sentMsg
+// Scenario is one entry of the directory protocol's model-checking
+// table.
+type Scenario struct {
+	explore.Scenario
+	// Pointers > 0 gives the directory Dir_i_B limited-pointer entries
+	// with that many pointers, driving the overflow and imprecise-
+	// invalidation paths no other check covers exhaustively; zero keeps
+	// the exact full bitmap.
+	Pointers int
 }
 
-type sentMsg struct {
-	msg coherence.Msg
-	dst network.NodeID
-}
+// Blocks the scenarios use: all homed at node 0 and in the model's
+// single L2 set, so a node touching all three evicts one.
+const (
+	blockA = coherence.Addr(0)
+	blockB = coherence.Addr(4 * 64)
+	blockC = coherence.Addr(8 * 64)
+)
 
-func (f *modelFabric) Send(m *network.Message) {
-	f.nextID++ // IDs start at 1: 0 stays free as a sentinel
-	f.queue = append(f.queue, m)
-	f.ids = append(f.ids, f.nextID)
-	f.payloads[f.nextID] = sentMsg{payloadOf(m), m.Dst}
-}
+func ld(a coherence.Addr) explore.Op { return explore.Op{Addr: a, Kind: coherence.Load} }
+func st(a coherence.Addr) explore.Op { return explore.Op{Addr: a, Kind: coherence.Store} }
 
-func (f *modelFabric) Kick(network.NodeID)                             {}
-func (f *modelFabric) AttachClient(n network.NodeID, c network.Client) { f.clients[n] = c }
-func (f *modelFabric) NumNodes() int                                   { return f.nodes }
-
-func payloadOf(m *network.Message) coherence.Msg {
-	switch p := m.Payload.(type) {
-	case *coherence.Msg:
-		return *p
-	case coherence.Msg:
-		return p
-	default:
-		panic(fmt.Sprintf("directory model: foreign payload %T", m.Payload))
+// Scenarios returns the directory protocol's model-checking table.
+func Scenarios() []Scenario {
+	return []Scenario{
+		// The §3.1 writeback/forward race.
+		{Scenario: explore.Scenario{Name: "race", Nodes: 4, SpecDetects: true, Script: [][]explore.Op{
+			1: {st(blockA), st(blockB), st(blockC)},
+			2: {st(blockA)},
+			3: {},
+		}}},
+		// The scaled proof: 3 blocks, 4 active nodes, overlapping
+		// writeback races — detection fires with other transactions
+		// mid-flight, and the model checks ResetTransients clears them all.
+		{Scenario: explore.Scenario{Name: "race-3x4", Nodes: 4, SpecDetects: true, Script: [][]explore.Op{
+			0: {st(blockA), st(blockB), st(blockC)},
+			1: {st(blockB), st(blockC)},
+			2: {st(blockA)},
+			3: {ld(blockB)},
+		}}},
+		// Readers invalidated by competing writers.
+		{Scenario: explore.Scenario{Name: "share-invalidate", Nodes: 4, Script: [][]explore.Op{
+			0: {ld(blockA), st(blockA)},
+			1: {ld(blockA)},
+			2: {st(blockA)},
+			3: {},
+		}}},
+		// Competing upgrades from S.
+		{Scenario: explore.Scenario{Name: "upgrade-race", Nodes: 4, Script: [][]explore.Op{
+			0: {ld(blockA), st(blockA)},
+			1: {ld(blockA), st(blockA)},
+			2: {},
+			3: {},
+		}}},
+		// Writeback racing a read.
+		{Scenario: explore.Scenario{Name: "race-gets", Nodes: 4, SpecDetects: true, Script: [][]explore.Op{
+			1: {st(blockA), st(blockB), st(blockC)},
+			2: {ld(blockA)},
+			3: {},
+		}}},
+		// Dir_1_B overflow: the second sharer degrades the entry to
+		// broadcast, so invalidations are imprecise.
+		{Scenario: explore.Scenario{Name: "sharer-overflow", Nodes: 4, Script: [][]explore.Op{
+			0: {ld(blockA)},
+			1: {ld(blockA)},
+			2: {ld(blockA), st(blockA)},
+			3: {st(blockA), st(blockB)},
+		}}, Pointers: 1},
 	}
 }
 
 // dirModel implements explore.Model.
 type dirModel struct {
-	cfg  ExploreConfig
+	explore.Harness
 	pcfg Config
-
-	k *sim.Kernel
-	f *modelFabric
-	p *Protocol
-
-	detected     bool
-	detectReason string
-	completed    int
-	want         int
-	doneOps      []int // per-node completed op count (script position)
-	wbRaceBase   uint64
+	p    *Protocol
 
 	addrbuf []uint64
 	keybuf  []uint64
 }
 
-func newDirModel(cfg ExploreConfig) *dirModel {
-	pcfg := DefaultConfig(cfg.Nodes, cfg.Variant)
+// NewModel returns the constructor explore.Run builds sc's models with
+// for variant v.
+func NewModel(sc Scenario, v Variant) func() explore.Model {
+	pcfg := DefaultConfig(sc.Nodes, v)
 	// Exploration always uses a 1-set 2-way L2: scenarios that need
 	// evictions get them, tiny caches keep per-path construction
 	// cheap, and scenarios touching <=2 blocks per node see no
 	// difference.
 	pcfg.L2Bytes, pcfg.L2Ways = 2*64, 2
 	pcfg.L1Bytes, pcfg.L1Ways = 64, 1
-	if cfg.Sharers != FullBitmap {
-		pcfg.Sharers = cfg.Sharers
-		pcfg.SharerPointers = cfg.SharerPointers
-		pcfg.SharerClusterSize = cfg.SharerClusterSize
+	if sc.Pointers > 0 {
+		pcfg.Sharers, pcfg.SharerPointers = LimitedPointer, sc.Pointers
 	}
-	m := &dirModel{cfg: cfg, pcfg: pcfg}
-	for _, ops := range cfg.Script {
-		m.want += len(ops)
+	return func() explore.Model {
+		return &dirModel{
+			Harness: explore.Harness{Scenario: sc.Scenario, Full: v == Full, Route: route},
+			pcfg:    pcfg,
+		}
 	}
-	return m
 }
 
 func (m *dirModel) Reset() {
-	m.k = sim.NewKernel()
-	m.f = &modelFabric{
-		nodes:    m.cfg.Nodes,
-		clients:  make([]network.Client, m.cfg.Nodes),
-		payloads: make(map[uint64]sentMsg),
-	}
-	m.p = New(m.k, m.f, m.pcfg, nil)
-	m.detected = false
-	m.detectReason = ""
-	m.completed = 0
-	m.doneOps = make([]int, len(m.cfg.Script))
-	m.wbRaceBase = m.p.Stats().WBRaces.Value()
-	m.p.OnMisSpeculation = func(_ coherence.NodeID, reason string) {
-		m.detected = true
-		m.detectReason = reason
-		// Exploration treats detection as a terminal, correct outcome:
-		// recovery would restore a checkpoint, which is verified by
-		// the system-level tests. Clear state so the run ends cleanly.
-		m.p.ResetTransients()
-		m.f.queue = nil
-		m.f.ids = nil
-	}
-	for n, ops := range m.cfg.Script {
-		n, ops := n, ops
-		var issue func(i int)
-		issue = func(i int) {
-			if i >= len(ops) || m.detected {
-				return
-			}
-			m.p.Access(coherence.NodeID(n), ops[i].Addr, ops[i].Kind, func() {
-				m.completed++
-				m.doneOps[n]++
-				issue(i + 1)
-			})
-		}
-		issue(0)
-	}
-	m.drain()
+	m.Begin()
+	m.p = New(m.Kernel, &m.Data, m.pcfg, nil)
+	m.p.OnMisSpeculation = func(_ coherence.NodeID, reason string) { m.Detect(reason) }
+	m.Start(m.p, &m.p.Stats().WBRaces)
 }
 
-func (m *dirModel) drain() {
-	if !m.k.Drain(1_000_000) {
-		panic("directory model: event flood (1e6 events without quiescence)")
-	}
-}
-
-// dirMsgCtrl maps a message to its destination controller: each node
-// hosts two disjoint controllers (cache and directory), and the
-// independence relation commutes deliveries to distinct controllers.
-func dirMsgCtrl(dst network.NodeID, msg coherence.Msg) int32 {
-	c := int32(dst) * 2
-	switch msg.Kind {
+// route keys a message by content and maps it to its destination
+// controller: each node hosts two disjoint controllers (cache and
+// directory), and the independence relation commutes deliveries to
+// distinct controllers.
+func route(ev explore.Event) (uint64, int32) {
+	c := int32(ev.Dst) * 2
+	switch ev.Msg.Kind {
 	case coherence.GetS, coherence.GetM, coherence.PutM, coherence.FinalAck:
-		return c + 1 // directory controller
+		c++ // directory controller
 	}
-	return c // cache controller
+	return msgKey(1, int64(ev.Dst), ev.Msg), c
 }
 
 func msgKey(seed uint64, dst int64, msg coherence.Msg) uint64 {
@@ -171,103 +160,17 @@ func msgKey(seed uint64, dst int64, msg coherence.Msg) uint64 {
 		uint64(msg.Requestor), msg.Version, uint64(int64(msg.AckCount)), flags, msg.TID)
 }
 
-func (m *dirModel) Enabled(buf []explore.Transition) []explore.Transition {
-	for i, nm := range m.f.queue {
-		msg := m.f.payloads[m.f.ids[i]].msg
-		buf = append(buf, explore.Transition{
-			ID:   m.f.ids[i],
-			Key:  msgKey(1, int64(nm.Dst), msg),
-			Ctrl: dirMsgCtrl(nm.Dst, msg),
-		})
-	}
-	return buf
-}
-
-func (m *dirModel) Take(id uint64) explore.Step {
-	pos := -1
-	for i, mid := range m.f.ids {
-		if mid == id {
-			pos = i
-			break
-		}
-	}
-	if pos < 0 {
-		panic(fmt.Sprintf("directory model: take of unknown message id %d", id))
-	}
-	// Remove before delivering: a detection inside Deliver clears the
-	// queue outright, so slicing it afterwards would corrupt it.
-	nm := m.f.queue[pos]
-	m.f.queue = append(m.f.queue[:pos:pos], m.f.queue[pos+1:]...)
-	m.f.ids = append(m.f.ids[:pos:pos], m.f.ids[pos+1:]...)
-	if !m.f.clients[nm.Dst].Deliver(nm) {
-		// Back-pressured (Data waiting on the writeback TBE): the
-		// message stays in flight, the state is unchanged (its queue
-		// position is not part of the state — enumeration is by ID).
-		m.f.queue = append(m.f.queue, nm)
-		m.f.ids = append(m.f.ids, id)
-		return explore.Blocked
-	}
-	m.drain()
-	if m.detected {
-		return explore.Detected
-	}
-	return explore.Progressed
-}
-
-func (m *dirModel) Finish() explore.PathOutcome {
-	switch {
-	case m.detected:
-		out := explore.PathOutcome{Status: explore.StatusDetected}
-		if m.cfg.Variant == Full {
-			out.Err = "full variant mis-speculated: " + m.detectReason
-		} else if n := m.p.InFlight(); n != 0 {
-			// Recovery-mid-flight check: ResetTransients must leave no
-			// transaction behind, however much was in flight.
-			out.Err = fmt.Sprintf("recovery left %d transactions in flight", n)
-		}
-		return out
-	case m.completed == m.want && m.p.InFlight() == 0:
-		out := explore.PathOutcome{Status: explore.StatusCompleted}
-		if err := m.p.AuditInvariants(); err != nil {
-			out.Err = err.Error()
-		}
-		out.Flagged = m.p.Stats().WBRaces.Value() > m.wbRaceBase
-		return out
-	default:
-		return explore.PathOutcome{
-			Status: explore.StatusStuck,
-			Err: fmt.Sprintf("stuck with %d/%d completed, %d in flight, %d queued",
-				m.completed, m.want, m.p.InFlight(), len(m.f.queue)),
-		}
-	}
-}
-
-func (m *dirModel) Describe(id uint64) string {
-	if sm, ok := m.f.payloads[id]; ok {
-		return fmt.Sprintf("deliver{%s}->n%d", sm.msg, sm.dst)
-	}
-	return fmt.Sprintf("msg#%d", id)
-}
-
-// Encode writes the canonical machine state: cache arrays in per-set
-// LRU order, TBEs, directory entries/busy records/deferred queues in
-// address order, memory versions, script positions, and the in-flight
-// message multiset. Simulation time, event-kernel state (always
-// drained here), epochs and TID mint counters are excluded: states
-// differing only in those behave identically.
+// Encode writes the canonical machine state: script positions, cache
+// arrays in per-set LRU order, TBEs, directory entries/busy
+// records/deferred queues in address order, memory versions, and the
+// in-flight message multiset. Simulation time, event-kernel state
+// (always drained here), epochs and TID mint counters are excluded:
+// states differing only in those behave identically.
 func (m *dirModel) Encode(e *explore.Enc) {
-	e.Bool(m.detected)
-	for n := range m.doneOps {
-		e.Int(m.doneOps[n])
-	}
+	m.EncodeScript(e)
 	for _, c := range m.p.caches {
 		e.U8(0xC0)
-		c.L2.ForEachSetLRU(func(set int, l *cache.Line) {
-			e.Int(set)
-			e.U64(uint64(l.Addr))
-			e.U8(l.State)
-			e.U64(l.Version)
-		})
+		e.Lines(c.L2)
 		e.U8(0xC1)
 		if t := c.req; t != nil {
 			e.Bool(true)
@@ -305,7 +208,7 @@ func (m *dirModel) Encode(e *explore.Enc) {
 		for a := range c.servedStable {
 			m.addrbuf = append(m.addrbuf, uint64(a))
 		}
-		sortU64(m.addrbuf)
+		slices.Sort(m.addrbuf)
 		e.Int(len(m.addrbuf))
 		for _, a := range m.addrbuf {
 			e.U64(a)
@@ -322,7 +225,7 @@ func (m *dirModel) Encode(e *explore.Enc) {
 			}
 			m.addrbuf = append(m.addrbuf, uint64(a))
 		}
-		sortU64(m.addrbuf)
+		slices.Sort(m.addrbuf)
 		for _, a := range m.addrbuf {
 			e.U64(a)
 			encodeDirEntry(e, d.entries[coherence.Addr(a)])
@@ -332,7 +235,7 @@ func (m *dirModel) Encode(e *explore.Enc) {
 		for a := range d.busy {
 			m.addrbuf = append(m.addrbuf, uint64(a))
 		}
-		sortU64(m.addrbuf)
+		slices.Sort(m.addrbuf)
 		for _, a := range m.addrbuf {
 			b := d.busy[coherence.Addr(a)]
 			e.U64(a)
@@ -350,7 +253,7 @@ func (m *dirModel) Encode(e *explore.Enc) {
 				m.addrbuf = append(m.addrbuf, uint64(a))
 			}
 		}
-		sortU64(m.addrbuf)
+		slices.Sort(m.addrbuf)
 		for _, a := range m.addrbuf {
 			q := d.queue[coherence.Addr(a)]
 			e.U64(a)
@@ -360,24 +263,9 @@ func (m *dirModel) Encode(e *explore.Enc) {
 			}
 		}
 		e.U8(0xD3)
-		m.addrbuf = m.addrbuf[:0]
-		d.h.Mem.ForEach(func(a coherence.Addr, v uint64) {
-			m.addrbuf = append(m.addrbuf, uint64(a))
-		})
-		sortU64(m.addrbuf)
-		for _, a := range m.addrbuf {
-			e.U64(a)
-			e.U64(d.h.Mem.Read(coherence.Addr(a)))
-		}
+		e.Memory(d.h.Mem)
 	}
-	// In-flight messages as a multiset: delivery order is the engine's
-	// choice, not part of the state.
-	m.keybuf = m.keybuf[:0]
-	for i := range m.f.queue {
-		msg := m.f.payloads[m.f.ids[i]].msg
-		m.keybuf = append(m.keybuf, msgKey(1, int64(m.f.queue[i].Dst), msg))
-	}
-	e.Multiset(m.keybuf)
+	m.EncodeData(e)
 }
 
 func encodeDirEntry(e *explore.Enc, ent *dirEntry) {
@@ -393,5 +281,3 @@ func encodeDirEntry(e *explore.Enc, ent *dirEntry) {
 		e.U64(uint64(ptrs[i]))
 	}
 }
-
-func sortU64(v []uint64) { slices.Sort(v) }

@@ -10,8 +10,10 @@ import "slices"
 // state allocates nothing in steady state.
 type Enc struct {
 	b []byte
-	// scratch backs the sorted-multiset helpers.
+	// scratch backs the sorted-multiset helpers; keys backs the key and
+	// address lists the harness builds before encoding them.
 	scratch []uint64
+	keys    []uint64
 }
 
 // Reset clears the encoder for the next state.

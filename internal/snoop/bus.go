@@ -134,8 +134,8 @@ type BusObserver interface {
 
 // AddressNet is the ordered address network the snooping protocol is
 // written against. *Bus is the timed implementation; the exploration
-// harness (explore.go) substitutes a scriptable one that lets the
-// explorer choose the ordering of concurrently submitted requests.
+// model (model.go) substitutes a scriptable one that lets the explorer
+// choose the ordering of concurrently submitted requests.
 type AddressNet interface {
 	// Submit queues a request; it is eventually ordered and observed by
 	// every attached observer in the same global order.

@@ -4,43 +4,25 @@ import (
 	"reflect"
 	"testing"
 
-	"specsimp/internal/coherence"
 	"specsimp/internal/explore"
 )
 
-// Distinct blocks that collide in the explorer's single-frame L2, so a
-// second store forces a writeback of the first block.
-const (
-	xBlkA = coherence.Addr(0x000)
-	xBlkB = coherence.Addr(0x400)
-	xBlkC = coherence.Addr(0x800)
-)
-
-// cornerScript provokes the §3.2 corner case: node 0 acquires A in M and
-// then evicts it via B (single-frame cache), putting its writeback of A
-// in flight, while nodes 1 and 2 both compete for A with stores. Any
-// interleaving that orders both foreign RequestReadWrites before node
-// 0's own PutM reaches the unspecified WB_AI transition.
-func cornerScript() [][]SScriptOp {
-	return [][]SScriptOp{
-		0: {{xBlkA, coherence.Store}, {xBlkB, coherence.Store}},
-		1: {{xBlkA, coherence.Store}},
-		2: {{xBlkA, coherence.Store}},
+// scenario returns the named entry of Scenarios.
+func scenario(t *testing.T, name string) explore.Scenario {
+	t.Helper()
+	for _, sc := range Scenarios() {
+		if sc.Name == name {
+			return sc
+		}
 	}
+	t.Fatalf("no snooping scenario %q", name)
+	return explore.Scenario{}
 }
 
-// wideCornerScript is the scaled proof scenario: the same §3.2 corner
-// with a fourth active node and a third block in play, so detection
-// fires while unrelated transactions are mid-flight (the recovery-mid-
-// flight shape; the model checks ResetTransients leaves nothing
-// behind).
-func wideCornerScript() [][]SScriptOp {
-	return [][]SScriptOp{
-		0: {{xBlkA, coherence.Store}, {xBlkB, coherence.Store}},
-		1: {{xBlkA, coherence.Store}},
-		2: {{xBlkA, coherence.Store}},
-		3: {{xBlkC, coherence.Store}, {xBlkC, coherence.Load}},
-	}
+// runScenario explores sc's model for variant v under cfg.
+func runScenario(sc explore.Scenario, v Variant, cfg explore.Config) explore.Result {
+	cfg.NewModel = NewModel(sc, v)
+	return explore.Run(cfg)
 }
 
 // TestSnoopExploreSpecDetectsEverywhere is the core claim at the
@@ -51,11 +33,7 @@ func wideCornerScript() [][]SScriptOp {
 // outcome (silent corruption, unspecified-transition panic, or a
 // stuck protocol).
 func TestSnoopExploreSpecDetectsEverywhere(t *testing.T) {
-	res := ExploreSnoop(SExploreConfig{
-		Variant: Spec,
-		Nodes:   4,
-		Script:  wideCornerScript(),
-	})
+	res := runScenario(scenario(t, "corner-3x4"), Spec, explore.Config{})
 	if !res.Ok() {
 		t.Fatalf("violations (%d), first: %s", len(res.Violations), res.Violations[0])
 	}
@@ -76,13 +54,9 @@ func TestSnoopExploreSpecDetectsEverywhere(t *testing.T) {
 // TestSnoopExploreFullHandlesCornerEverywhere: the fully designed
 // protocol absorbs the same corner case through its specified no-op on
 // every interleaving — and the exploration must actually reach it
-// (CornerHandled > 0), otherwise the Spec result above proves nothing.
+// (Flagged > 0), otherwise the Spec result above proves nothing.
 func TestSnoopExploreFullHandlesCornerEverywhere(t *testing.T) {
-	res := ExploreSnoop(SExploreConfig{
-		Variant: Full,
-		Nodes:   4,
-		Script:  wideCornerScript(),
-	})
+	res := runScenario(scenario(t, "corner-3x4"), Full, explore.Config{})
 	if !res.Ok() {
 		t.Fatalf("violations (%d), first: %s", len(res.Violations), res.Violations[0])
 	}
@@ -95,25 +69,19 @@ func TestSnoopExploreFullHandlesCornerEverywhere(t *testing.T) {
 	if res.Completed != res.Paths {
 		t.Fatalf("completed %d of %d paths", res.Completed, res.Paths)
 	}
-	if res.CornerHandled == 0 {
+	if res.Flagged == 0 {
 		t.Fatal("no interleaving exercised the specified corner transition")
 	}
 	t.Logf("full 3x4: %d paths verified, corner handled on %d, cuts %d+%d",
-		res.Paths, res.CornerHandled, res.SleepCut, res.VisitedCut)
+		res.Paths, res.Flagged, res.SleepCut, res.VisitedCut)
 }
 
 // TestSnoopExploreSharingScenario explores a writeback-free read-share/
 // invalidate scenario at 4 nodes: both variants complete every
 // interleaving with zero detections.
 func TestSnoopExploreSharingScenario(t *testing.T) {
-	script := [][]SScriptOp{
-		0: {{xBlkA, coherence.Load}, {xBlkA, coherence.Store}},
-		1: {{xBlkA, coherence.Load}},
-		2: {{xBlkA, coherence.Store}},
-		3: {{xBlkC, coherence.Load}},
-	}
 	for _, v := range []Variant{Full, Spec} {
-		res := ExploreSnoop(SExploreConfig{Variant: v, Nodes: 4, Script: script})
+		res := runScenario(scenario(t, "share-invalidate"), v, explore.Config{})
 		if !res.Ok() {
 			t.Fatalf("%s: %s", v, res.Violations[0])
 		}
@@ -137,13 +105,7 @@ func TestSnoopExploreModeEquivalence(t *testing.T) {
 		{"none", explore.ReduceNone},
 		{"sleep", explore.ReduceSleep},
 	} {
-		res := ExploreSnoop(SExploreConfig{
-			Variant:          Spec,
-			Nodes:            3,
-			Script:           cornerScript(),
-			Reduce:           m.reduce,
-			CollectTerminals: true,
-		})
+		res := runScenario(scenario(t, "corner"), Spec, explore.Config{Reduction: m.reduce, CollectTerminals: true})
 		if !res.Ok() {
 			t.Fatalf("%s: %s", m.name, res.Violations[0])
 		}
@@ -175,16 +137,12 @@ func TestSnoopExploreModeEquivalence(t *testing.T) {
 // is not forked (17 paths unforked, 34 at the default fork depth,
 // against 182 under full enumeration).
 func TestSnoopExploreReductionRatio(t *testing.T) {
-	full := ExploreSnoop(SExploreConfig{
-		Variant: Spec, Nodes: 3, Script: cornerScript(),
-		Reduce: explore.ReduceNone, MaxPaths: 60_000,
-	})
+	sc := scenario(t, "corner")
+	full := runScenario(sc, Spec, explore.Config{Reduction: explore.ReduceNone, MaxPaths: 60_000})
 	if full.Truncated {
 		t.Fatalf("baseline truncated at %d paths", full.Paths)
 	}
-	def := ExploreSnoop(SExploreConfig{
-		Variant: Spec, Nodes: 3, Script: cornerScript(), ForkDepth: -1,
-	})
+	def := runScenario(sc, Spec, explore.Config{ForkDepth: -1})
 	if !def.Ok() || def.Truncated {
 		t.Fatalf("default mode: %+v", def)
 	}
@@ -199,15 +157,10 @@ func TestSnoopExploreReductionRatio(t *testing.T) {
 // TestSnoopExploreWorkerDeterminism: bit-identical results for every
 // worker count (run with -race in CI).
 func TestSnoopExploreWorkerDeterminism(t *testing.T) {
-	base := ExploreSnoop(SExploreConfig{
-		Variant: Spec, Nodes: 3, Script: cornerScript(),
-		Workers: 1, CollectTerminals: true,
-	})
+	sc := scenario(t, "corner")
+	base := runScenario(sc, Spec, explore.Config{Workers: 1, CollectTerminals: true})
 	for _, w := range []int{2, 8} {
-		got := ExploreSnoop(SExploreConfig{
-			Variant: Spec, Nodes: 3, Script: cornerScript(),
-			Workers: w, CollectTerminals: true,
-		})
+		got := runScenario(sc, Spec, explore.Config{Workers: w, CollectTerminals: true})
 		if !reflect.DeepEqual(base, got) {
 			t.Fatalf("workers=%d diverged from workers=1:\n%+v\nvs\n%+v", w, base, got)
 		}
