@@ -155,6 +155,67 @@ func TestExploreImpreciseSharerOverflow(t *testing.T) {
 	}
 }
 
+// overflowProbe counts the terminal states at which a detection fired
+// while a limited-pointer entry was overflowed to broadcast.
+type overflowProbe struct {
+	*dirModel
+	hits *int
+}
+
+func (o overflowProbe) Finish() explore.PathOutcome {
+	out := o.dirModel.Finish()
+	if out.Status == explore.StatusDetected {
+		for _, d := range o.p.dirs {
+			for _, ent := range d.entries {
+				if ent.sharers.over {
+					*o.hits++
+					return out
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestExploreOverflowDuringRecovery model-checks a Dir_1_B overflow
+// with a recovery in flight: the Full variant never detects, and the
+// Spec variant detects on some interleaving while an overflowed entry
+// is live, so the model's check that the recovery leaves no
+// transaction behind covers the imprecise-sharer paths too.
+func TestExploreOverflowDuringRecovery(t *testing.T) {
+	sc := scenario(t, "overflow-race")
+	for _, v := range []Variant{Full, Spec} {
+		hits := 0
+		newModel := NewModel(sc, v)
+		res := explore.Run(explore.Config{
+			NewModel: func() explore.Model { return overflowProbe{newModel().(*dirModel), &hits} },
+		})
+		if !res.Ok() {
+			t.Fatalf("%s: violations (%d), first: %s", v, len(res.Violations), res.Violations[0])
+		}
+		if res.Truncated {
+			t.Fatalf("%s: truncated; the proof is not exhaustive", v)
+		}
+		switch v {
+		case Full:
+			if res.Detected != 0 {
+				t.Fatalf("full variant mis-speculated on %d paths", res.Detected)
+			}
+			if res.Flagged == 0 {
+				t.Fatal("scenario never reached the writeback race")
+			}
+		case Spec:
+			if res.Detected == 0 {
+				t.Fatal("spec variant never detected; scenario proves nothing")
+			}
+			if hits == 0 {
+				t.Fatal("no detection fired with an overflowed entry live")
+			}
+		}
+		t.Logf("%s: %d paths, %d detected (%d with an overflowed entry live)", v, res.Paths, res.Detected, hits)
+	}
+}
+
 // TestExploreSharingScenario explores a read-share/invalidate scenario
 // with no writebacks: both variants must complete every interleaving
 // with zero detections.

@@ -93,6 +93,16 @@ func Scenarios() []Scenario {
 			2: {ld(blockA), st(blockA)},
 			3: {st(blockA), st(blockB)},
 		}}, Pointers: 1},
+		// Dir_1_B overflow while a recovery is in flight: nodes 0 and 2
+		// share A, which can overflow its 1-pointer entry, while node
+		// 1's evictions put its writeback of A in the §3.1 race with
+		// node 2's store, so Spec can detect with the entry overflowed.
+		{Scenario: explore.Scenario{Name: "overflow-race", Nodes: 4, SpecDetects: true, Script: [][]explore.Op{
+			0: {ld(blockA)},
+			1: {st(blockA), st(blockB), st(blockC)},
+			2: {ld(blockA), st(blockA)},
+			3: {},
+		}}, Pointers: 1},
 	}
 }
 
