@@ -541,4 +541,7 @@ func TestReadTraceRejectsCorruptImages(t *testing.T) {
 	if _, err := ReadTrace(data[:len(data)-4]); err == nil {
 		t.Error("truncated stream accepted")
 	}
+	if _, err := ReadTrace(append(data, 0)); err == nil {
+		t.Error("trailing bytes after the last stream accepted")
+	}
 }

@@ -97,7 +97,10 @@ func ReadTrace(data []byte) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	if nodes == 0 || nodes > 1<<20 {
+	// Every node's stream takes at least one byte, so a count past the
+	// bytes left is corrupt; checking it first keeps a few garbage bytes
+	// from allocating tables for a million nodes.
+	if nodes == 0 || nodes > 1<<20 || nodes > uint64(len(data)) {
 		return nil, fmt.Errorf("trace: implausible node count %d", nodes)
 	}
 	t.Nodes = int(nodes)
@@ -124,6 +127,9 @@ func ReadTrace(data []byte) (*Trace, error) {
 		if err := checkStream(t.streams[i], ops); err != nil {
 			return nil, fmt.Errorf("trace: node %d: %w", i, err)
 		}
+	}
+	if len(data) != 0 {
+		return nil, fmt.Errorf("trace: %d trailing bytes after the last stream", len(data))
 	}
 	return t, nil
 }
