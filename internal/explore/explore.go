@@ -100,9 +100,8 @@ const (
 // PathOutcome is the model's verdict on a terminal state. A non-empty
 // Err is recorded as a violation with the path that produced it
 // (invariant breakage, an unexpected detection, a stuck protocol).
-// Flagged marks completed paths that exercised a scenario-specific
-// transition of interest (e.g. the snooping Full variant absorbing the
-// §3.2 corner), counted in Result.Flagged.
+// Flagged marks a completed path that reached the race its scenario
+// targets; Result.Flagged says what that means per protocol.
 type PathOutcome struct {
 	Status  Status
 	Flagged bool
@@ -250,7 +249,13 @@ type Result struct {
 	Completed int
 	Detected  int
 	Stuck     int
-	// Flagged counts completed paths the model flagged (see PathOutcome).
+	// Flagged counts completed paths that reached the race the
+	// scenario targets — evidence the exploration covers it. For the
+	// directory protocol: the §3.1 writeback race fired (its WBRaces
+	// counter grew). For the snooping protocol: the Full variant
+	// absorbed the §3.2 corner through its specified transition
+	// (CornerHandled grew), the race the Spec variant leaves to
+	// speculation.
 	Flagged int
 
 	// SleepCut counts subtrees pruned because every remaining choice
