@@ -85,7 +85,7 @@ func TestVerifyRejectsBadFlags(t *testing.T) {
 		{[]string{"-protocol", "nonsense"}, []string{`-protocol "nonsense"`, "directory, snoop or all"}},
 		{[]string{"-scenario", "bogus"}, []string{`-scenario "bogus"`, "race, race-3x4", "corner-gets or all"}},
 		{[]string{"-protocol", "snoop", "-scenario", "race"}, []string{`-scenario "race"`, "-protocol snoop", "want corner, "}},
-		{[]string{"-protocol", "directory", "-scenario", "corner"}, []string{`-scenario "corner"`, "sharer-overflow or all"}},
+		{[]string{"-protocol", "directory", "-scenario", "corner"}, []string{`-scenario "corner"`, "-protocol directory", "sharer-overflow, ", " or all"}},
 		{[]string{"-reduce", "fast"}, []string{`-reduce "fast"`, "sleep or none"}},
 		{[]string{"-reduce", "dpor"}, []string{`-reduce "dpor"`, "sleep or none"}},
 		{[]string{"-maxpaths", "-1"}, []string{"-maxpaths -1", "at least 1"}},
