@@ -63,6 +63,9 @@ func checkGolden(t *testing.T, name, got string) {
 // race-3x4, whose counts TestExploreThreeBlocksFourNodes pins;
 // full enumeration runs every scenario on a small budget.
 func TestVerifyStatsGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the golden explorations run in the full test step; -short (race) covers the engine's concurrency through the worker-determinism tests")
+	}
 	var sleep strings.Builder
 	for _, name := range scenarioNames() {
 		if name == "race-3x4" {

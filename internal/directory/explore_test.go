@@ -183,6 +183,9 @@ func (o overflowProbe) Finish() explore.PathOutcome {
 // is live, so the model's check that the recovery leaves no
 // transaction behind covers the imprecise-sharer paths too.
 func TestExploreOverflowDuringRecovery(t *testing.T) {
+	if testing.Short() {
+		t.Skip("exhaustive overflow-race proof runs in the full test step; -short (race) covers the smaller scenarios")
+	}
 	sc := scenario(t, "overflow-race")
 	for _, v := range []Variant{Full, Spec} {
 		hits := 0
