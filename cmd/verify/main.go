@@ -22,7 +22,7 @@
 //	verify -protocol snoop     # just the snooping protocol
 //	verify -scenario race      # just the §3.1 writeback race
 //	verify -reduce none        # pruning mode: sleep (default) or none
-//	verify -workers 8          # parallel frontier (results identical at any count)
+//	verify -maxpaths 20000     # interleaving budget of each exploration
 //	verify -stats              # explored vs pruned interleaving accounting
 package main
 
@@ -75,7 +75,7 @@ var protocols = map[string]struct{ flagged, target string }{
 
 // validate checks every flag value before anything runs and returns
 // the selected reduction.
-func validate(protocol, scenario, reduce string, maxPaths, depth, workers int) (explore.Reduction, error) {
+func validate(protocol, scenario, reduce string, maxPaths int) (explore.Reduction, error) {
 	if _, ok := protocols[protocol]; !ok && protocol != "all" {
 		return 0, fmt.Errorf("unknown -protocol %q (want directory, snoop or all)", protocol)
 	}
@@ -98,13 +98,8 @@ func validate(protocol, scenario, reduce string, maxPaths, depth, workers int) (
 	default:
 		return 0, fmt.Errorf("unknown -reduce %q (want sleep or none)", reduce)
 	}
-	switch {
-	case maxPaths < 1:
+	if maxPaths < 1 {
 		return 0, fmt.Errorf("-maxpaths %d: want at least 1", maxPaths)
-	case depth < 0:
-		return 0, fmt.Errorf("-depth %d: want 0 (the engine default) or more", depth)
-	case workers < 1:
-		return 0, fmt.Errorf("-workers %d: want at least 1", workers)
 	}
 	return r, nil
 }
@@ -122,9 +117,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		protocol = fs.String("protocol", "all", "protocol: directory, snoop, all")
 		which    = fs.String("scenario", "all", "scenario name, or all")
-		maxPaths = fs.Int("maxpaths", 200_000, "interleaving budget per exploration subtree task (total may reach budget x tasks)")
-		depth    = fs.Int("depth", 0, "max delivery steps per path (0 = engine default)")
-		workers  = fs.Int("workers", 1, "parallel frontier width (results identical at any count)")
+		maxPaths = fs.Int("maxpaths", 200_000, "interleaving budget of each scenario and variant's exploration")
 		reduceS  = fs.String("reduce", "sleep", "pruning: sleep (sleep sets + state hashing) or none (full enumeration)")
 		stats    = fs.Bool("stats", false, "report explored vs pruned interleaving counts")
 	)
@@ -134,7 +127,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
-	reduce, err := validate(*protocol, *which, *reduceS, *maxPaths, *depth, *workers)
+	reduce, err := validate(*protocol, *which, *reduceS, *maxPaths)
 	if err != nil {
 		fmt.Fprintf(stderr, "verify: %v\n", err)
 		return 2
@@ -150,8 +143,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			NewModel:  c.model,
 			Reduction: reduce,
 			MaxPaths:  *maxPaths,
-			MaxDepth:  *depth,
-			Workers:   *workers,
 		})
 		variant := "spec"
 		if c.full {
@@ -159,8 +150,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		failed = report(stdout, c.protocol, c.Name, variant, &res, start) || failed
 		if *stats {
-			fmt.Fprintf(stdout, "    pruned: %d sleep-cut + %d visited-cut subtrees; %d transitions (+%d replayed) over %d tasks\n",
-				res.SleepCut, res.VisitedCut, res.Transitions, res.Replayed, res.Tasks)
+			fmt.Fprintf(stdout, "    pruned: %d sleep-cut + %d visited-cut subtrees; %d transitions (+%d replayed)\n",
+				res.SleepCut, res.VisitedCut, res.Transitions, res.Replayed)
 		}
 		p := protocols[c.protocol]
 		if !c.full && c.SpecDetects && res.Detected == 0 {

@@ -64,7 +64,7 @@ func checkGolden(t *testing.T, name, got string) {
 // full enumeration runs every scenario on a small budget.
 func TestVerifyStatsGolden(t *testing.T) {
 	if testing.Short() {
-		t.Skip("the golden explorations run in the full test step; -short (race) covers the engine's concurrency through the worker-determinism tests")
+		t.Skip("the golden explorations run in the full test step")
 	}
 	var sleep strings.Builder
 	for _, name := range scenarioNames() {
@@ -74,7 +74,7 @@ func TestVerifyStatsGolden(t *testing.T) {
 		sleep.WriteString(verifyOutput(t, "-stats", "-scenario", name))
 	}
 	checkGolden(t, "sleep.golden", sleep.String())
-	checkGolden(t, "none.golden", verifyOutput(t, "-stats", "-reduce", "none", "-maxpaths", "200"))
+	checkGolden(t, "none.golden", verifyOutput(t, "-stats", "-reduce", "none", "-maxpaths", "3200"))
 }
 
 // TestVerifyRejectsBadFlags: a flag value the command cannot honor is
@@ -93,8 +93,8 @@ func TestVerifyRejectsBadFlags(t *testing.T) {
 		{[]string{"-reduce", "dpor"}, []string{`-reduce "dpor"`, "sleep or none"}},
 		{[]string{"-maxpaths", "-1"}, []string{"-maxpaths -1", "at least 1"}},
 		{[]string{"-maxpaths", "0"}, []string{"-maxpaths 0", "at least 1"}},
-		{[]string{"-depth", "-3"}, []string{"-depth -3", "0 (the engine default) or more"}},
-		{[]string{"-workers", "0"}, []string{"-workers 0", "at least 1"}},
+		{[]string{"-depth", "-3"}, []string{"flag provided but not defined: -depth"}},
+		{[]string{"-workers", "0"}, []string{"flag provided but not defined: -workers"}},
 	} {
 		var stdout, stderr bytes.Buffer
 		code := run(tc.args, &stdout, &stderr)

@@ -83,14 +83,14 @@ func TestExploreThreeBlocksFourNodes(t *testing.T) {
 		t.Skip("exhaustive 3x4 proof runs in the full test step; -short (race) covers the smaller scenarios")
 	}
 	type counts struct {
-		paths, completed, detected, sleepCut, visitedCut, flagged, tasks int
-		transitions, replayed                                            uint64
+		paths, completed, detected, sleepCut, visitedCut, flagged int
+		transitions, replayed                                     uint64
 	}
 	want := map[Variant]counts{
-		Full: {paths: 552, completed: 552, sleepCut: 4149, visitedCut: 80346, flagged: 160,
-			tasks: 16, transitions: 162964, replayed: 1467819},
-		Spec: {paths: 1417, completed: 552, detected: 865, sleepCut: 3203, visitedCut: 64353, flagged: 160,
-			tasks: 16, transitions: 134411, replayed: 1138833},
+		Full: {paths: 129, completed: 129, sleepCut: 1149, visitedCut: 24937, flagged: 34,
+			transitions: 49293, replayed: 433477},
+		Spec: {paths: 364, completed: 129, detected: 235, sleepCut: 903, visitedCut: 20347, flagged: 34,
+			transitions: 41196, replayed: 342280},
 	}
 	sc := scenario(t, "race-3x4")
 	for _, v := range []Variant{Full, Spec} {
@@ -102,7 +102,7 @@ func TestExploreThreeBlocksFourNodes(t *testing.T) {
 			t.Fatalf("%s: truncated; the proof is not exhaustive", v)
 		}
 		got := counts{res.Paths, res.Completed, res.Detected, res.SleepCut, res.VisitedCut,
-			res.Flagged, res.Tasks, res.Transitions, res.Replayed}
+			res.Flagged, res.Transitions, res.Replayed}
 		if got != want[v] {
 			t.Fatalf("%s 3x4 counts moved:\n got %+v\nwant %+v", v, got, want[v])
 		}
@@ -304,7 +304,7 @@ func TestExploreReductionRatio(t *testing.T) {
 	sc := scenario(t, "race")
 	full := runScenario(sc, Spec, explore.Config{Reduction: explore.ReduceNone, MaxPaths: 60_000})
 	fullPaths := full.Paths // a lower bound when truncated
-	res := runScenario(sc, Spec, explore.Config{ForkDepth: -1})
+	res := runScenario(sc, Spec, explore.Config{})
 	if !res.Ok() {
 		t.Fatalf("sleep+dedup: %s", res.Violations[0])
 	}
@@ -317,24 +317,6 @@ func TestExploreReductionRatio(t *testing.T) {
 	}
 	t.Logf("sleep+dedup: %d paths vs >=%d full (%.0fx, truncated-full=%v)",
 		res.Paths, fullPaths, float64(fullPaths)/float64(res.Paths), full.Truncated)
-}
-
-// TestExploreWorkerDeterminism: the parallel frontier must return
-// bit-identical results — counts, violations, terminal digests — for
-// every worker count (run with -race in CI).
-func TestExploreWorkerDeterminism(t *testing.T) {
-	sc := scenario(t, "race")
-	base := runScenario(sc, Spec, explore.Config{Workers: 1, CollectTerminals: true})
-	for _, w := range []int{2, 8} {
-		got := runScenario(sc, Spec, explore.Config{Workers: w, CollectTerminals: true})
-		if !reflect.DeepEqual(base, got) {
-			t.Fatalf("workers=%d diverged from workers=1:\n%+v\nvs\n%+v", w, base, got)
-		}
-	}
-	if base.Tasks < 2 {
-		t.Fatalf("expected a forked frontier, got %d tasks", base.Tasks)
-	}
-	t.Logf("%d paths over %d tasks, identical at 1/2/8 workers", base.Paths, base.Tasks)
 }
 
 func sortDigests(ds []explore.Digest) {

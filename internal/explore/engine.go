@@ -46,39 +46,31 @@ type frame struct {
 	blocked idSet    // back-pressured at this state
 }
 
-// task is one independent subtree of the exploration: a choice prefix
-// plus the sleep set its root inherited from already-dispatched
-// sibling subtrees.
-type task struct {
-	choices   []uint64
-	rootSleep []uint64
-}
-
 // maxVisited caps the visited-state table; beyond it, new states are
 // explored but no longer recorded.
 const maxVisited = 1 << 20
 
-// engine explores one subtree sequentially. Backtracking restores
-// model state by replaying the choice prefix from Reset (the models
-// cannot snapshot), so the stack stores choices, not states.
+// maxDepth caps transitions per path; a longer path is recorded as a
+// violation (a protocol that never quiesces).
+const maxDepth = 4096
+
+// engine is the depth-first walk. Backtracking restores model state by
+// replaying the choice prefix from Reset (the models cannot snapshot),
+// so the stack stores choices, not states.
 type engine struct {
 	cfg   Config
 	m     Model
 	res   Result
 	stack []*frame
-	// base counts the task-prefix frames at the bottom of the stack:
-	// replayed and part of every path, but never explored from.
-	base int
 
 	enc     Enc
 	visited map[uint64][]visitedEntry
 	nstates int
 
-	ebuf     []Transition
-	keybuf   []uint64
-	dirty    bool // model state is past the top frame; replay before Take
-	maxDepth int  // live depth budget for this task
-	aborted  bool
+	ebuf    []Transition
+	keybuf  []uint64
+	dirty   bool // model state is past the top frame; replay before Take
+	aborted bool
 }
 
 type visitedEntry struct {
@@ -89,55 +81,21 @@ type visitedEntry struct {
 	sleeps [][]uint64
 }
 
-func newEngine(cfg Config, m Model) *engine {
-	return &engine{cfg: cfg, m: m}
-}
-
-// runTask explores one subtree and returns its task-local result.
-func (e *engine) runTask(t task) Result {
-	e.res = Result{}
-	e.stack = e.stack[:0]
-	e.visited = make(map[uint64][]visitedEntry)
-	e.nstates = 0
-	e.dirty = false
-	e.aborted = false
-	e.maxDepth = e.cfg.MaxDepth + len(t.choices)
-	e.base = len(t.choices)
-
+// Run explores the model's interleaving space under cfg: one
+// depth-first walk from the initial state with one visited-state
+// table.
+func Run(cfg Config) Result {
+	if cfg.MaxPaths == 0 {
+		cfg.MaxPaths = 1 << 20
+	}
+	e := &engine{cfg: cfg, m: cfg.NewModel(), visited: make(map[uint64][]visitedEntry)}
 	e.m.Reset()
-	e.pushFrame(Transition{}, nil)
-	for _, c := range t.choices {
-		st := e.safeTake(c)
-		if st != Progressed {
-			e.abort(fmt.Sprintf("replay of task prefix diverged at %d (step result %d)", c, st))
-			return e.res
-		}
-		e.res.Replayed++
-		e.pushFrame(e.top().enabledByID(c), nil)
-	}
-	root := e.top()
-	for _, id := range t.rootSleep {
-		if tr := root.enabledByID(id); tr.ID == id {
-			root.sleep = append(root.sleep, tr)
-		}
-	}
-	if len(root.enabled) == 0 {
+	if len(e.pushFrame(Transition{}, nil).enabled) == 0 {
 		e.terminalPath()
 		return e.res
 	}
 	e.dfs()
 	return e.res
-}
-
-// enabledByID returns the enabled transition with the given ID, or the
-// zero Transition.
-func (f *frame) enabledByID(id uint64) Transition {
-	for _, t := range f.enabled {
-		if t.ID == id {
-			return t
-		}
-	}
-	return Transition{}
 }
 
 func (e *engine) top() *frame {
@@ -172,7 +130,7 @@ func (e *engine) pushFrame(via Transition, sleep sleepSet) *frame {
 func (e *engine) popFrame() {
 	f := e.top()
 	e.stack = e.stack[:len(e.stack)-1]
-	if len(e.stack) > e.base && e.cfg.Reduction != ReduceNone {
+	if len(e.stack) > 0 && e.cfg.Reduction != ReduceNone {
 		p := e.top()
 		p.sleep = append(p.sleep, f.via)
 	}
@@ -192,7 +150,7 @@ func (e *engine) nextCandidate(f *frame) (Transition, bool) {
 }
 
 func (e *engine) dfs() {
-	for !e.aborted && len(e.stack) > e.base {
+	for !e.aborted && len(e.stack) > 0 {
 		f := e.top()
 		if e.res.Paths >= e.cfg.MaxPaths {
 			e.res.Truncated = true
@@ -236,9 +194,9 @@ func (e *engine) dfs() {
 			case len(child.enabled) == 0:
 				e.terminalPath()
 				e.popFrame()
-			case len(e.stack)-1 > e.maxDepth:
+			case len(e.stack)-1 > maxDepth:
 				e.res.Paths++
-				e.recordViolation(fmt.Sprintf("exceeded depth %d", e.cfg.MaxDepth))
+				e.recordViolation(fmt.Sprintf("exceeded depth %d", maxDepth))
 				e.popFrame()
 			case e.cfg.Reduction == ReduceSleep && e.visitedPrune(child):
 				e.res.VisitedCut++

@@ -228,32 +228,6 @@ func TestReductionOnIndependentOps(t *testing.T) {
 		float64(full.Paths)/float64(sleep.Paths))
 }
 
-// TestWorkerDeterminism: identical results — counts, violations,
-// terminal digests — for every worker count. Run with -race in CI,
-// this also proves the frontier has no data races.
-func TestWorkerDeterminism(t *testing.T) {
-	roots := []*toyOp{
-		op(0, 1, op(1, 2), op(2, 3)),
-		op(1, 4, op(0, 6)),
-		op(2, 5),
-		op(3, 7, op(3, 8)),
-	}
-	nm := newToy(4, roots)
-	for _, red := range []Reduction{ReduceSleep, ReduceNone} {
-		base := Run(Config{NewModel: nm, Reduction: red, CollectTerminals: true, Workers: 1})
-		for _, w := range []int{2, 8} {
-			got := Run(Config{NewModel: nm, Reduction: red, CollectTerminals: true, Workers: w})
-			if !reflect.DeepEqual(base, got) {
-				t.Fatalf("%v: workers=%d diverged from workers=1:\n%+v\nvs\n%+v", red, w, base, got)
-			}
-		}
-		if base.Tasks < 2 {
-			t.Fatalf("%v: expected a forked frontier, got %d tasks", red, base.Tasks)
-		}
-		t.Logf("%v: %d paths over %d tasks, identical at 1/2/8 workers", red, base.Paths, base.Tasks)
-	}
-}
-
 // TestBlockedTransitions: an op back-pressured until another op runs
 // must not be misreported as stuck, and a permanently blocked op must.
 func TestBlockedTransitions(t *testing.T) {
@@ -334,5 +308,26 @@ func TestMaxPathsTruncation(t *testing.T) {
 	r := Run(Config{NewModel: newToy(2, roots), Reduction: ReduceNone, MaxPaths: 5})
 	if !r.Truncated {
 		t.Fatalf("not truncated: %+v", r)
+	}
+}
+
+// TestDepthGuard: a path longer than the depth limit — a protocol that
+// never quiesces — is one violation naming the limit, not a hang and
+// not a budget truncation.
+func TestDepthGuard(t *testing.T) {
+	var chain *toyOp
+	for i := 0; i < 4100; i++ {
+		if chain == nil {
+			chain = op(0, uint64(i))
+		} else {
+			chain = op(0, uint64(i), chain)
+		}
+	}
+	r := runMode(t, newToy(1, []*toyOp{chain}), ReduceSleep)
+	if r.Paths != 1 || r.Truncated {
+		t.Fatalf("paths=%d truncated=%v, want one untruncated path", r.Paths, r.Truncated)
+	}
+	if len(r.Violations) != 1 || r.Violations[0].Desc != "exceeded depth 4096" {
+		t.Fatalf("violations %d, want one naming depth 4096: %+v", len(r.Violations), r.Violations)
 	}
 }

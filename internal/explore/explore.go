@@ -32,13 +32,9 @@
 // in-flight message multiset. State hashing composes soundly with
 // sleep sets through the stored-sleep-subset rule.
 //
-// Parallelism: the exploration tree is split at a fixed fork depth
-// into independent subtree tasks (each carrying its entry sleep set),
-// executed by a bounded worker pool on per-worker model instances and
-// merged in task order — results are bit-identical for every worker
-// count, because the task decomposition depends only on the tree, not
-// on scheduling. This is the bounded-frontier shape of irregular
-// wavefront propagation on many-core (PAPERS.md).
+// Run is one depth-first walk from the initial state with one
+// visited-state table, so sleep sets and state hashing act across the
+// whole tree.
 package explore
 
 import "fmt"
@@ -110,8 +106,6 @@ type PathOutcome struct {
 
 // Model is a deterministic transition system under exploration. The
 // engine owns the exploration order; the model owns the semantics.
-// Models are single-goroutine; parallel exploration builds one model
-// per worker via Config.NewModel.
 type Model interface {
 	// Reset restores the initial state (the engine replays choice
 	// prefixes through Take after a Reset; replays must be exact).
@@ -140,8 +134,8 @@ type Reduction uint8
 const (
 	// ReduceSleep (the default) is Godefroid sleep sets with
 	// visited-state pruning: every state explores all its non-slept
-	// transitions, so it composes soundly with state dedup and with
-	// the parallel frontier — the mode the proof runs use.
+	// transitions, so it composes soundly with state dedup — the mode
+	// the proof runs use.
 	ReduceSleep Reduction = iota
 	// ReduceNone is full enumeration without state dedup, kept as the
 	// oracle the sleep-set equivalence tests and reduction factors are
@@ -156,57 +150,21 @@ func (r Reduction) String() string {
 	return "none"
 }
 
-// Config bounds and parameterizes an exploration.
+// Config parameterizes an exploration.
 type Config struct {
-	// NewModel builds one model instance; called once per worker.
+	// NewModel builds the model instance; Run calls it once.
 	NewModel func() Model
 
 	Reduction Reduction
 
-	// MaxPaths caps executed interleavings (0 = 1<<20). The cap
-	// applies per subtree task — at every worker count, since the
-	// frontier decomposition is independent of Workers — so a run may
-	// execute up to MaxPaths × Tasks paths in total.
+	// MaxPaths caps the interleavings the whole exploration executes
+	// (0 = 1<<20).
 	MaxPaths int
-	// MaxDepth caps transitions per path (0 = 4096); exceeding it is
-	// recorded as a violation, like the runaway guard it replaces.
-	MaxDepth int
-
-	// Workers bounds the worker pool (0 or 1 = serial execution of
-	// the same task decomposition — results are identical for every
-	// value).
-	Workers int
-	// ForkDepth is the frontier split depth (0 = 2). A negative value
-	// does not fork: one task rooted at the initial state explores the
-	// whole tree, so sleep sets and the visited table act across it —
-	// the unforked tree the reduction factors are measured on. The
-	// fork zone explores every transition not pruned by sleep-set
-	// propagation, so the task decomposition depends only on the tree;
-	// state dedup applies within tasks.
-	ForkDepth int
 
 	// CollectTerminals records the multiset of terminal-state digests
 	// (tests compare them across Reduction modes: every mode must
 	// reach the same terminal states).
 	CollectTerminals bool
-}
-
-func (c Config) withDefaults() Config {
-	if c.MaxPaths == 0 {
-		c.MaxPaths = 1 << 20
-	}
-	if c.MaxDepth == 0 {
-		c.MaxDepth = 4096
-	}
-	if c.Workers <= 0 {
-		c.Workers = 1
-	}
-	if c.ForkDepth == 0 {
-		c.ForkDepth = 2
-	} else if c.ForkDepth < 0 {
-		c.ForkDepth = 0 // single task rooted at the initial state
-	}
-	return c
 }
 
 // DisjointCtrl is the independence relation: two transitions commute
@@ -272,8 +230,7 @@ type Result struct {
 	Transitions uint64
 	Replayed    uint64
 
-	// Tasks is the number of parallel subtree tasks (1 when serial).
-	Tasks     int
+	// Truncated reports that the MaxPaths budget stopped the walk.
 	Truncated bool
 
 	Violations []Violation
@@ -284,26 +241,3 @@ type Result struct {
 
 // Ok reports whether no violations were found.
 func (r *Result) Ok() bool { return len(r.Violations) == 0 }
-
-// merge folds task-local results in deterministic task order.
-func (r *Result) merge(t *Result) {
-	r.Paths += t.Paths
-	r.Completed += t.Completed
-	r.Detected += t.Detected
-	r.Stuck += t.Stuck
-	r.Flagged += t.Flagged
-	r.SleepCut += t.SleepCut
-	r.VisitedCut += t.VisitedCut
-	r.Transitions += t.Transitions
-	r.Replayed += t.Replayed
-	r.Truncated = r.Truncated || t.Truncated
-	r.Violations = append(r.Violations, t.Violations...)
-	if t.Terminals != nil {
-		if r.Terminals == nil {
-			r.Terminals = make(map[Digest]int, len(t.Terminals))
-		}
-		for d, n := range t.Terminals {
-			r.Terminals[d] += n
-		}
-	}
-}

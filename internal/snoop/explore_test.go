@@ -133,16 +133,14 @@ func TestSnoopExploreModeEquivalence(t *testing.T) {
 // address network is a totally ordered broadcast, so every pair of bus
 // grants is dependent and sleep sets have only the data deliveries to
 // work with; it is the state-hash dedup that collapses the grant
-// orders, and it does so across the whole tree only when the frontier
-// is not forked (17 paths unforked, 34 at the default fork depth,
-// against 182 under full enumeration).
+// orders (17 paths against 182 under full enumeration).
 func TestSnoopExploreReductionRatio(t *testing.T) {
 	sc := scenario(t, "corner")
 	full := runScenario(sc, Spec, explore.Config{Reduction: explore.ReduceNone, MaxPaths: 60_000})
 	if full.Truncated {
 		t.Fatalf("baseline truncated at %d paths", full.Paths)
 	}
-	def := runScenario(sc, Spec, explore.Config{ForkDepth: -1})
+	def := runScenario(sc, Spec, explore.Config{})
 	if !def.Ok() || def.Truncated {
 		t.Fatalf("default mode: %+v", def)
 	}
@@ -152,23 +150,6 @@ func TestSnoopExploreReductionRatio(t *testing.T) {
 	}
 	t.Logf("full=%d default=%d (%.0fx)", full.Paths,
 		def.Paths, float64(full.Paths)/float64(def.Paths))
-}
-
-// TestSnoopExploreWorkerDeterminism: bit-identical results for every
-// worker count (run with -race in CI).
-func TestSnoopExploreWorkerDeterminism(t *testing.T) {
-	sc := scenario(t, "corner")
-	base := runScenario(sc, Spec, explore.Config{Workers: 1, CollectTerminals: true})
-	for _, w := range []int{2, 8} {
-		got := runScenario(sc, Spec, explore.Config{Workers: w, CollectTerminals: true})
-		if !reflect.DeepEqual(base, got) {
-			t.Fatalf("workers=%d diverged from workers=1:\n%+v\nvs\n%+v", w, base, got)
-		}
-	}
-	if base.Tasks < 2 {
-		t.Fatalf("expected a forked frontier, got %d tasks", base.Tasks)
-	}
-	t.Logf("%d paths over %d tasks, identical at 1/2/8 workers", base.Paths, base.Tasks)
 }
 
 func sortSnoopDigests(ds []explore.Digest) {
