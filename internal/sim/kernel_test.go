@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -241,6 +242,86 @@ func TestRNGGeometricMean(t *testing.T) {
 	if mean < 8.5 || mean > 11.5 {
 		t.Fatalf("Geometric(10) sample mean %v, want ~10", mean)
 	}
+}
+
+// geometricReference is Geometric as a loop of Bool trials with the
+// tail limit recomputed per trial: the definition the integer-bound
+// loop must reproduce draw for draw.
+func geometricReference(r *RNG, m float64) uint64 {
+	if m <= 1 {
+		return 1
+	}
+	n := uint64(1)
+	p := 1 / m
+	for !r.Bool(p) {
+		n++
+		if n > uint64(64*m) {
+			break
+		}
+	}
+	return n
+}
+
+// TestGeometricMatchesReference: Geometric returns the reference's
+// variate and leaves the generator in the reference's state after
+// every draw, for means at and just above 1, the workload think times,
+// a large mean, and the fault storms' 10.24 M.
+func TestGeometricMatchesReference(t *testing.T) {
+	check := func(m float64, seed uint64, draws int) {
+		t.Helper()
+		got, want := NewRNG(seed), NewRNG(seed)
+		for i := 0; i < draws; i++ {
+			g, w := got.Geometric(m), geometricReference(want, m)
+			if g != w || got.Snapshot() != want.Snapshot() {
+				t.Fatalf("Geometric(%v) seed %d draw %d: %d (state %#x), reference %d (state %#x)",
+					m, seed, i, g, got.Snapshot(), w, want.Snapshot())
+			}
+		}
+	}
+	for _, m := range []float64{0.5, 1, math.Nextafter(1, 2), 1.5, 6, 14, 1e4} {
+		for seed := uint64(0); seed < 300; seed++ {
+			check(m, seed, 8)
+		}
+	}
+	for seed := uint64(0); seed < 3; seed++ {
+		check(10.24e6, seed, 1)
+	}
+	// Random draws almost never land on the bound itself, so start
+	// from states whose next draw is the last success or the first
+	// failure.
+	for _, m := range []float64{math.Nextafter(1, 2), 1.5, 2, 3, 6, 14, 1e4} {
+		bound := uint64(math.Ceil(1 / m * (1 << 53)))
+		for _, x := range []uint64{bound - 1, bound} {
+			got, want := rngBefore(x<<11), rngBefore(x<<11)
+			if g, w := got.Geometric(m), geometricReference(want, m); g != w || got.Snapshot() != want.Snapshot() {
+				t.Fatalf("Geometric(%v) with first draw %d: %d, reference %d", m, x, g, w)
+			}
+		}
+	}
+}
+
+// rngBefore returns a generator whose next Uint64 is out, by inverting
+// splitmix64's output function.
+func rngBefore(out uint64) *RNG {
+	unshift := func(y uint64, k uint) uint64 {
+		x := y
+		for i := uint(0); i < 64; i += k {
+			x = y ^ x>>k
+		}
+		return x
+	}
+	inverse := func(c uint64) uint64 { // c odd, mod 2^64
+		inv := c
+		for i := 0; i < 6; i++ {
+			inv *= 2 - c*inv
+		}
+		return inv
+	}
+	z := unshift(out, 31) * inverse(0x94d049bb133111eb)
+	z = unshift(z, 27) * inverse(0xbf58476d1ce4e5b9)
+	r := &RNG{}
+	r.Restore(unshift(z, 30) - 0x9e3779b97f4a7c15)
+	return r
 }
 
 // Property: for any batch of events scheduled at arbitrary times, the

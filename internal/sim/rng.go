@@ -1,5 +1,7 @@
 package sim
 
+import "math"
+
 // RNG is a small, fast, deterministic pseudo-random generator
 // (splitmix64 core). Unlike math/rand it exposes its full state for
 // snapshot/restore, which SafetyNet rollback requires: when the system
@@ -54,15 +56,20 @@ func (r *RNG) Bool(p float64) bool { return r.Float64() < p }
 // Geometric returns a sample from a geometric distribution with mean m
 // (m >= 1), i.e. the count of trials until first success with p = 1/m.
 // Used for inter-arrival gaps in workload generators.
+//
+// Each trial is Bool(1/m) on one draw: Float64() < p is exactly
+// Uint64()>>11 < ceil(p·2^53), since Float64 is that integer over 2^53
+// and p·2^53 is exact. The bound and the tail limit are computed once.
 func (r *RNG) Geometric(m float64) uint64 {
 	if m <= 1 {
 		return 1
 	}
 	n := uint64(1)
-	p := 1 / m
-	for !r.Bool(p) {
+	success := uint64(math.Ceil(1 / m * (1 << 53)))
+	limit := uint64(64 * m) // bound the tail; negligible probability
+	for r.Uint64()>>11 >= success {
 		n++
-		if n > uint64(64*m) { // bound the tail; negligible probability
+		if n > limit {
 			break
 		}
 	}
