@@ -55,6 +55,12 @@ func Run(args []string, w io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *parallel < 0 {
+		return fmt.Errorf("-parallel %d: want 0 (GOMAXPROCS) or more", *parallel)
+	}
+	if *abortAfter < 0 {
+		return fmt.Errorf("-campaign-abort-after %d: want 0 (run to completion) or more", *abortAfter)
+	}
 	explicit := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 	if err := checkModeFlags(explicit, *analyzeDir != "", *campaignPath != ""); err != nil {

@@ -174,6 +174,26 @@ func TestModeRejectsIgnoredFlags(t *testing.T) {
 	}
 }
 
+// TestNegativeCountsRejected: a negative -parallel or
+// -campaign-abort-after is an error naming the flag and its valid
+// values, before any experiment or spec is looked up — not a run at
+// GOMAXPROCS or to completion, as with 0.
+func TestNegativeCountsRejected(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-exp", "bogus", "-quick", "-parallel", "-3"}, "-parallel -3: want 0 (GOMAXPROCS) or more"},
+		{[]string{"-campaign", "missing-spec.json", "-parallel", "-1"}, "-parallel -1: want 0 (GOMAXPROCS) or more"},
+		{[]string{"-campaign", "missing-spec.json", "-campaign-abort-after", "-1"}, "-campaign-abort-after -1: want 0 (run to completion) or more"},
+	} {
+		err := sweepcli.Run(c.args, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("sweep %s: error %v, want %q", strings.Join(c.args, " "), err, c.want)
+		}
+	}
+}
+
 // TestCampaignCLIResume drives the CLI surface of the campaign engine:
 // -campaign with the abort hook exits with a resumable error, a second
 // invocation converges, and -analyze runs over the finished tree.
