@@ -38,9 +38,9 @@ func TestSpecsimRejectsIgnoredFlags(t *testing.T) {
 	}
 }
 
-// TestSpecsimNetworkFlags: -bw and -buffers still reach the network
-// they size.
-func TestSpecsimNetworkFlags(t *testing.T) {
+// TestSpecsimAcceptsNetworkFlags: -bw and -buffers with the -net they
+// size pass the check and run.
+func TestSpecsimAcceptsNetworkFlags(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	args := []string{"-net", "simplified", "-buffers", "2", "-bw", "0.2", "-cycles", "2000"}
 	if code := run(args, &stdout, &stderr); code != 0 {

@@ -150,7 +150,7 @@ func (r Reduction) String() string {
 	return "none"
 }
 
-// Config parameterizes an exploration.
+// Config bounds and parameterizes an exploration.
 type Config struct {
 	// NewModel builds the model instance; Run calls it once.
 	NewModel func() Model

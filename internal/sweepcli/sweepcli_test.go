@@ -136,61 +136,45 @@ func TestUnknownExperimentError(t *testing.T) {
 }
 
 // TestModeRejectsIgnoredFlags: -campaign and -analyze reject every flag
-// they would ignore, and -campaign-abort-after needs -campaign. Each
-// error names the flag and comes before any spec, run directory or
-// experiment is read, so the missing paths and the bogus -exp below are
-// never reached.
+// they would ignore, -campaign-abort-after needs -campaign, and a
+// negative -parallel or -campaign-abort-after is refused rather than
+// run as 0. Each error names the flag and comes before any spec, run
+// directory or experiment is read, so the missing paths and the bogus
+// -exp below are never reached.
 func TestModeRejectsIgnoredFlags(t *testing.T) {
 	campaign := []string{"-campaign", "missing-spec.json"}
 	analyze := []string{"-analyze", "missing-run-dir"}
 	cases := []struct {
 		args []string
-		flag string
+		want string
 	}{
-		{append(campaign, "-out", "x"), "-out"},
-		{append(campaign, "-exp", "fig4"), "-exp"},
-		{append(campaign, "-workload", "oltp"), "-workload"},
-		{append(campaign, "-quick"), "-quick"},
-		{append(campaign, "-shards", "2"), "-shards"},
-		{append(campaign, "-json"), "-json"},
-		{append(analyze, "-out", "x"), "-out"},
-		{append(analyze, "-quick"), "-quick"},
-		{append(analyze, "-campaign", "spec.json"), "-campaign"},
-		{append(analyze, "-run-id", "x"), "-run-id"},
-		{append(analyze, "-parallel", "2"), "-parallel"},
-		{append(analyze, "-campaign-abort-after", "1"), "-campaign-abort-after"},
-		{[]string{"-exp", "bogus", "-campaign-abort-after", "2"}, "-campaign-abort-after"},
+		{append(campaign, "-out", "x"), "-out cannot be used"},
+		{append(campaign, "-exp", "fig4"), "-exp cannot be used"},
+		{append(campaign, "-workload", "oltp"), "-workload cannot be used"},
+		{append(campaign, "-quick"), "-quick cannot be used"},
+		{append(campaign, "-shards", "2"), "-shards cannot be used"},
+		{append(campaign, "-json"), "-json cannot be used"},
+		{append(analyze, "-out", "x"), "-out cannot be used"},
+		{append(analyze, "-quick"), "-quick cannot be used"},
+		{append(analyze, "-campaign", "spec.json"), "-campaign cannot be used"},
+		{append(analyze, "-run-id", "x"), "-run-id cannot be used"},
+		{append(analyze, "-parallel", "2"), "-parallel cannot be used"},
+		{append(analyze, "-campaign-abort-after", "1"), "-campaign-abort-after cannot be used"},
+		{[]string{"-exp", "bogus", "-campaign-abort-after", "2"}, "-campaign-abort-after cannot be used"},
+		{[]string{"-exp", "bogus", "-quick", "-parallel", "-3"}, "-parallel -3: want 0 (GOMAXPROCS) or more"},
+		{append(campaign, "-parallel", "-1"), "-parallel -1: want 0 (GOMAXPROCS) or more"},
+		{append(campaign, "-campaign-abort-after", "-1"), "-campaign-abort-after -1: want 0 (run to completion) or more"},
 	}
 	for _, c := range cases {
 		err := sweepcli.Run(c.args, io.Discard)
-		if err == nil || !strings.Contains(err.Error(), c.flag+" cannot be used") {
-			t.Errorf("sweep %s: error %v, want one rejecting %s", strings.Join(c.args, " "), err, c.flag)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("sweep %s: error %v, want %q", strings.Join(c.args, " "), err, c.want)
 		}
 	}
 	// The flags -campaign does read pass the check and reach the spec.
 	err := sweepcli.Run(append(campaign, "-run-id", "x", "-parallel", "1", "-campaign-abort-after", "1"), io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "missing-spec.json") {
 		t.Errorf("-campaign with -run-id, -parallel and -campaign-abort-after: error %v, want the missing spec", err)
-	}
-}
-
-// TestNegativeCountsRejected: a negative -parallel or
-// -campaign-abort-after is an error naming the flag and its valid
-// values, before any experiment or spec is looked up — not a run at
-// GOMAXPROCS or to completion, as with 0.
-func TestNegativeCountsRejected(t *testing.T) {
-	for _, c := range []struct {
-		args []string
-		want string
-	}{
-		{[]string{"-exp", "bogus", "-quick", "-parallel", "-3"}, "-parallel -3: want 0 (GOMAXPROCS) or more"},
-		{[]string{"-campaign", "missing-spec.json", "-parallel", "-1"}, "-parallel -1: want 0 (GOMAXPROCS) or more"},
-		{[]string{"-campaign", "missing-spec.json", "-campaign-abort-after", "-1"}, "-campaign-abort-after -1: want 0 (run to completion) or more"},
-	} {
-		err := sweepcli.Run(c.args, io.Discard)
-		if err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("sweep %s: error %v, want %q", strings.Join(c.args, " "), err, c.want)
-		}
 	}
 }
 
