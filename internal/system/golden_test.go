@@ -18,9 +18,10 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/results.golden")
 
-// goldenCase is one pinned run: a 4×4 machine driven for 60k cycles in
-// three uneven Run calls, with an optional sanity check that the case
-// still exercises the machinery it is named for.
+// goldenCase is one pinned run: a machine (4×4 unless its name says
+// otherwise) driven for 60k cycles in three uneven Run calls, with an
+// optional sanity check that the case still exercises the machinery it
+// is named for.
 type goldenCase struct {
 	name  string
 	cfg   Config
@@ -31,7 +32,9 @@ type goldenCase struct {
 // checkpoints with the watchdog, injected recoveries and reorder
 // injection on every kind; fixed and adaptive log stalls; the three
 // sustained fault regimes; a simplified-network deadlock the watchdog
-// breaks; and a snooping machine whose watchdog fires every scan.
+// breaks; a snooping machine whose watchdog fires every scan; and
+// snooping machines at 8×8 (flat bus), at 16×16 (segmented bus) and at
+// 4×4 with caches small enough to evict and write back.
 func goldenCases() []goldenCase {
 	needRecoveries := func(r Results) error {
 		if r.Recoveries == 0 || r.Checkpoints < 2 {
@@ -129,17 +132,71 @@ func goldenCases() []goldenCase {
 	snoopTimeout.CheckpointInterval = 2_000
 	snoopTimeout.TimeoutCycles = 60
 	cases = append(cases, goldenCase{"snoop-timeout-60/s0", snoopTimeout, needTimeouts})
+
+	// Snooping at the sizes whose node sets span a whole 64-bit word
+	// (8×8) and several words (16×16, on the segmented bus), with the
+	// base cases' recoveries and small caches; the 16×16 machine's
+	// smaller per-node footprint needs a 2 KB L2 to write back.
+	for _, side := range []int{8, 16} {
+		c := shardedBase(SnoopSpec, workload.OLTP, side, side)
+		c.SnoopCheckpointRequests = 300
+		if side == 16 {
+			c.L2Bytes = 2 * 1024
+		}
+		segmented := side > 8
+		cases = append(cases, goldenCase{fmt.Sprintf("snoop-spec/%dx%d/s0", side, side), c, func(r Results) error {
+			if c.Bus.Segmented() != segmented {
+				return fmt.Errorf("segmented bus = %v, want %v", c.Bus.Segmented(), segmented)
+			}
+			if err := needRecoveries(r); err != nil {
+				return err
+			}
+			if r.Writebacks == 0 {
+				return fmt.Errorf("no writebacks")
+			}
+			return nil
+		}})
+	}
+
+	// p2p-detection's tiny caches on a snooping machine: a block lives
+	// briefly in each L2, so lines come and go on every path — fills,
+	// writebacks, invalidations and rollback restores.
+	tiny := DefaultConfig(SnoopSpec, workload.OLTP)
+	tiny.CheckpointInterval = 2_000
+	tiny.SnoopCheckpointRequests = 300
+	tiny.InjectRecoveryEvery = 15_000
+	tiny.SlowStartWindow = 5_000
+	tiny.L2Bytes, tiny.L2Ways = 16*64, 2
+	tiny.L1Bytes, tiny.L1Ways = 2*64, 1
+	cases = append(cases, goldenCase{"snoop-spec/tiny-l2/s0", tiny, func(r Results) error {
+		if err := needRecoveries(r); err != nil {
+			return err
+		}
+		if r.Writebacks == 0 {
+			return fmt.Errorf("no writebacks")
+		}
+		return nil
+	}})
 	return cases
 }
 
 // runGoldenCase builds and starts the machine, then runs it for 60k
 // cycles in three uneven chunks (the call pattern is part of the tiled
-// schedule, so it is pinned too).
+// schedule, so it is pinned too). It audits the coherence invariants at
+// every checkpoint, where the machine is quiescent; the audit reads and
+// changes nothing.
 func runGoldenCase(t *testing.T, gc goldenCase) Results {
 	t.Helper()
 	s, err := BuildChecked(gc.cfg)
 	if err != nil {
 		t.Fatalf("%s: %v", gc.name, err)
+	}
+	audits := 0
+	s.OnCheckpoint = func() {
+		audits++
+		if err := s.AuditInvariants(); err != nil {
+			t.Errorf("%s: invariant violation at checkpoint %d: %v", gc.name, audits, err)
+		}
 	}
 	s.Start()
 	s.Run(20_000)
