@@ -215,7 +215,7 @@ func NewChecked(k *sim.Kernel, net network.Fabric, cfg Config, log mem.UndoLogge
 		i := i
 		p.ks[i] = k
 		c := &cacheCtrl{
-			Hier:         mem.NewHier(i, cfg.CacheConfig, log),
+			Hier:         mem.NewHier(i, cfg.CacheConfig, log, nil),
 			p:            p,
 			node:         coherence.NodeID(i),
 			k:            k,

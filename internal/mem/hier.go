@@ -63,7 +63,10 @@ const (
 // an L2 whose lines hold their MOSI state and data version, and the
 // node's slice of main memory, with SafetyNet undo logging of L2 lines
 // and memory blocks. A protocol's cache controller embeds it by value;
-// the node's memory or directory controller reaches it by pointer.
+// the node's memory or directory controller reaches it by pointer. If
+// the protocol shares a BlockIndex, the hierarchy keeps its node's
+// holder bits there: every path that adds a line to the L2 or removes
+// one (Fill, Drop, restore, FinishRollback) sets or clears the bit.
 type Hier struct {
 	L1, L2 *cache.Cache
 	Mem    *Store
@@ -75,6 +78,8 @@ type Hier struct {
 	// parked holds the rollback installs that found their set full
 	// (restore); FinishRollback installs them.
 	parked map[coherence.Addr]parkedLine
+
+	idx *BlockIndex // nil: no index kept
 }
 
 type parkedLine struct {
@@ -82,9 +87,10 @@ type parkedLine struct {
 	version uint64
 }
 
-// NewHier builds node's hierarchy, logging to log (nil: no logging).
-// It panics on a geometry cache.New refuses.
-func NewHier(node int, cfg CacheConfig, log UndoLogger) Hier {
+// NewHier builds node's hierarchy, logging to log (nil: no logging)
+// and keeping its holder bits in idx (nil: no index). It panics on a
+// geometry cache.New refuses.
+func NewHier(node int, cfg CacheConfig, log UndoLogger, idx *BlockIndex) Hier {
 	return Hier{
 		L1:     cache.New(cfg.L1Bytes, cfg.L1Ways),
 		L2:     cache.New(cfg.L2Bytes, cfg.L2Ways),
@@ -93,6 +99,25 @@ func NewHier(node int, cfg CacheConfig, log UndoLogger) Hier {
 		node:   node,
 		log:    log,
 		parked: make(map[coherence.Addr]parkedLine),
+		idx:    idx,
+	}
+}
+
+// install places block a in frame f, obtained from Victim, and sets
+// its holder bit.
+func (h *Hier) install(f *cache.Line, a coherence.Addr, state uint8, version uint64) {
+	h.L2.Install(f, a, state, version)
+	if h.idx != nil {
+		h.idx.setHolder(a, h.node)
+	}
+}
+
+// invalidate removes block a from the L2, if present, and clears its
+// holder bit.
+func (h *Hier) invalidate(a coherence.Addr) {
+	h.L2.Invalidate(a)
+	if h.idx != nil {
+		h.idx.clearHolder(a, h.node)
 	}
 }
 
@@ -144,7 +169,7 @@ func (h *Hier) restore(a coherence.Addr, present bool, state uint8, version uint
 	h.L1.Invalidate(a)
 	if !present {
 		delete(h.parked, a)
-		h.L2.Invalidate(a)
+		h.invalidate(a)
 		return
 	}
 	if l := h.L2.Peek(a); l != nil {
@@ -159,7 +184,7 @@ func (h *Hier) restore(a coherence.Addr, present bool, state uint8, version uint
 		return
 	}
 	delete(h.parked, a)
-	h.L2.Install(f, a, state, version)
+	h.install(f, a, state, version)
 }
 
 // FinishRollback completes a rollback after the undo pass: it installs
@@ -179,7 +204,7 @@ func (h *Hier) FinishRollback() {
 		if f == nil || f.Valid {
 			panic(fmt.Sprintf("mem: set still full installing the parked line %#x at node %d", uint64(a), h.node))
 		}
-		h.L2.Install(f, a, pl.state, pl.version)
+		h.install(f, a, pl.state, pl.version)
 	}
 	clear(h.parked)
 	h.L1.Clear()
@@ -248,7 +273,7 @@ func (h *Hier) Fill(a coherence.Addr, state uint8, version uint64, writeback fun
 		}
 	}
 	h.LogLine(a)
-	h.L2.Install(v, a, state, version)
+	h.install(v, a, state, version)
 	return true
 }
 
@@ -256,7 +281,7 @@ func (h *Hier) Fill(a coherence.Addr, state uint8, version uint64, writeback fun
 func (h *Hier) Drop(a coherence.Addr) {
 	h.LogLine(a)
 	h.L1.Invalidate(a)
-	h.L2.Invalidate(a)
+	h.invalidate(a)
 }
 
 // Copy is one node's valid L2 line of a block, as the audit sees it.

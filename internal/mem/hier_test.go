@@ -55,8 +55,10 @@ func churn(h *Hier, rng *sim.RNG, n int) {
 // through a real SafetyNet manager: random fills, drops and stores
 // before and after a checkpoint, then Recover's undo pass and
 // FinishRollback. The set must hold exactly the checkpoint's lines,
-// the L1 must be empty, and the lines whose restore found the set full
-// must come back last in LRU order, in ascending address order.
+// the L1 must be empty, the lines whose restore found the set full
+// must come back last in LRU order, in ascending address order, and
+// the block index must name exactly the restored lines, parked
+// installs included.
 func TestRollbackRestoresCheckpoint(t *testing.T) {
 	cfg := CacheConfig{L1Bytes: 64, L1Ways: 1, L2Bytes: 2 * 64, L2Ways: 2, L1Latency: 1, L2Latency: 12}
 	const trials = 8000
@@ -64,7 +66,8 @@ func TestRollbackRestoresCheckpoint(t *testing.T) {
 	for seed := uint64(1); seed <= trials; seed++ {
 		rng := sim.NewRNG(seed)
 		mgr := safetynet.NewManager(sim.NewKernel(), safetynet.DefaultConfig(1, 1000))
-		h := NewHier(0, cfg, mgr)
+		idx := NewBlockIndex(1)
+		h := NewHier(0, cfg, mgr, idx)
 		mgr.TakeCheckpoint(nil)
 		churn(&h, rng, 12)
 		want := l2Lines(t, &h)
@@ -97,6 +100,15 @@ func TestRollbackRestoresCheckpoint(t *testing.T) {
 		}
 		if len(h.parked) != 0 {
 			t.Fatalf("seed %d: %d parked lines left after FinishRollback", seed, len(h.parked))
+		}
+		if err := idx.Audit([]*Hier{&h}); err != nil {
+			t.Fatalf("seed %d: after the rollback: %v", seed, err)
+		}
+		for b := 0; b < 4; b++ {
+			a := coherence.Addr(b * coherence.BlockBytes)
+			if held := h.L2.Peek(a) != nil; idx.Holds(a, 0) != held {
+				t.Fatalf("seed %d: index says node 0 holds %#x: %v; its L2: %v", seed, uint64(a), idx.Holds(a, 0), held)
+			}
 		}
 		if len(parked) == 0 {
 			continue

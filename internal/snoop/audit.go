@@ -47,7 +47,9 @@ func (p *Protocol) MemVersion(a coherence.Addr) uint64 {
 // AuditInvariants verifies coherence invariants at a quiescent point:
 // single writer, equal versions across copies, memory currency when
 // unowned, and agreement between the memory controller's owner tracking
-// and actual cache contents.
+// and actual cache contents. It also checks the delivery index: each
+// holder bit must match its node's L2, and no TBE bit may outlive its
+// transaction.
 func (p *Protocol) AuditInvariants() error {
 	if n := p.InFlight(); n != 0 {
 		return fmt.Errorf("audit requires quiescence; %d transactions in flight", n)
@@ -55,6 +57,9 @@ func (p *Protocol) AuditInvariants() error {
 	hs := make([]*mem.Hier, len(p.caches))
 	for i, c := range p.caches {
 		hs[i] = &c.Hier
+	}
+	if err := p.idx.Audit(hs); err != nil {
+		return err
 	}
 	var tracked []coherence.Addr
 	for _, m := range p.mems {

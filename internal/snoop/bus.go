@@ -140,7 +140,8 @@ type AddressNet interface {
 	// Submit queues a request; it is eventually ordered and observed by
 	// every attached observer in the same global order.
 	Submit(msg coherence.Msg)
-	// Attach registers an observer (cache or memory controller).
+	// Attach registers an observer: the protocol, which delivers each
+	// request to its controllers.
 	Attach(o BusObserver)
 	// Ordered returns the number of requests ordered so far.
 	Ordered() uint64
@@ -213,7 +214,7 @@ func NewBus(k *sim.Kernel, cfg BusConfig) *Bus {
 	return b
 }
 
-// Attach registers an observer (cache or memory controller).
+// Attach registers an observer.
 func (b *Bus) Attach(o BusObserver) { b.observers = append(b.observers, o) }
 
 // Ordered returns the number of requests ordered so far.

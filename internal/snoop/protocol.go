@@ -2,6 +2,7 @@ package snoop
 
 import (
 	"fmt"
+	"math/bits"
 
 	"specsimp/internal/cache"
 	"specsimp/internal/coherence"
@@ -55,6 +56,12 @@ type Protocol struct {
 
 	caches []*sCacheCtrl
 	mems   []*memCtrl
+
+	// idx names, per block, the caches whose L2 holds it and the caches
+	// with a TBE on it; concerned is OnOrdered's copy of one block's
+	// node set.
+	idx       *mem.BlockIndex
+	concerned []uint64
 
 	st    Stats
 	epoch uint64
@@ -117,22 +124,21 @@ func (p *Protocol) sendPooled(cm *coherence.Msg, to coherence.NodeID) {
 }
 
 // New builds the protocol over a bus and a data fabric; it claims the
-// fabric's clients and attaches bus observers for every node.
+// fabric's clients and attaches itself as the bus's observer.
 func New(k *sim.Kernel, bus AddressNet, data network.Fabric, cfg Config, log mem.UndoLogger) *Protocol {
 	if cfg.Nodes != data.NumNodes() {
 		panic("snoop: node count differs from data network size")
 	}
-	p := &Protocol{k: k, bus: bus, data: data, cfg: cfg}
+	p := &Protocol{k: k, bus: bus, data: data, cfg: cfg, idx: mem.NewBlockIndex(cfg.Nodes)}
+	p.concerned = make([]uint64, p.idx.Words())
 	p.caches = make([]*sCacheCtrl, cfg.Nodes)
 	p.mems = make([]*memCtrl, cfg.Nodes)
 	for i := 0; i < cfg.Nodes; i++ {
 		i := i
-		c := &sCacheCtrl{Hier: mem.NewHier(i, cfg.CacheConfig, log), p: p, node: coherence.NodeID(i)}
+		c := &sCacheCtrl{Hier: mem.NewHier(i, cfg.CacheConfig, log, p.idx), p: p, node: coherence.NodeID(i)}
 		m := &memCtrl{p: p, node: coherence.NodeID(i), h: &c.Hier, owner: make(map[coherence.Addr]int)}
 		p.caches[i] = c
 		p.mems[i] = m
-		bus.Attach(c)
-		bus.Attach(m)
 		data.AttachClient(network.NodeID(i), network.ClientFunc(func(nm *network.Message) bool {
 			if cm, ok := nm.Payload.(*coherence.Msg); ok {
 				msg := *cm
@@ -145,7 +151,53 @@ func New(k *sim.Kernel, bus AddressNet, data network.Fabric, cfg Config, log mem
 			return c.handleData(nm.Payload.(coherence.Msg))
 		}))
 	}
+	bus.Attach(p)
 	return p
+}
+
+// OnOrdered implements BusObserver. In the model every node observes
+// every ordered request; the host calls, in the bus's delivery order
+// (cache i, then memory controller i), only the controllers the
+// observation can change: the requester, every cache whose L2 holds the
+// block or that has a TBE on it, and the block's home memory
+// controller. For every other controller the observation is a no-op: a
+// cache that neither holds the block nor has a TBE on it finds nothing
+// to supply, invalidate or record, and its Peek moves no LRU state; a
+// memory controller acts only on its home blocks. The node set is read
+// from the index once, before the first call. That is exact because a
+// call changes only its own node's L2 and TBEs, since supplies and
+// completions are scheduled, not run. The one exception is a recovery
+// (a Spec corner detection), which resets every node; as the bus does
+// between observers, the delivery then stops.
+func (p *Protocol) OnOrdered(_ uint64, msg coherence.Msg) {
+	a := msg.Addr
+	set := p.concerned
+	p.idx.Concerned(a, set)
+	set[msg.From>>6] |= 1 << (msg.From & 63)
+	home := int(p.Home(a))
+	epoch := p.epoch
+	for w, caches := range set {
+		at := caches
+		if home>>6 == w {
+			at |= 1 << (home & 63)
+		}
+		for ; at != 0; at &= at - 1 {
+			b := bits.TrailingZeros64(at)
+			i := w<<6 | b
+			if caches>>b&1 != 0 {
+				p.caches[i].onOrdered(msg)
+				if p.epoch != epoch {
+					return
+				}
+			}
+			if i == home {
+				p.mems[i].onOrdered(msg)
+				if p.epoch != epoch {
+					return
+				}
+			}
+		}
+	}
 }
 
 // Stats exposes the protocol counters.
@@ -183,6 +235,12 @@ func (p *Protocol) ResetTransients() {
 	p.epoch++
 	for _, c := range p.caches {
 		c.FinishRollback()
+		if c.req != nil {
+			p.idx.ClearBusy(c.req.addr, int(c.node))
+		}
+		if c.wb != nil {
+			p.idx.ClearBusy(c.wb.addr, int(c.node))
+		}
 		c.req = nil
 		c.reqStore.done = nil // drop the callback reference with the TBE
 		c.wb = nil
@@ -334,6 +392,7 @@ func (c *sCacheCtrl) startRequest(addr coherence.Addr, kind coherence.MsgKind, s
 	obs := c.reqStore.obs[:0] // reuse the obligation list's storage
 	c.reqStore = sReqTBE{addr: addr, state: st, isStore: isStore, obs: obs, start: c.p.k.Now(), done: done}
 	c.req = &c.reqStore
+	c.p.idx.SetBusy(addr, int(c.node))
 	c.p.bus.Submit(coherence.Msg{Kind: kind, Addr: addr, From: c.node})
 }
 
@@ -365,10 +424,12 @@ func (c *sCacheCtrl) startWriteback(v *cache.Line) {
 	c.Drop(addr)
 	c.wbStore = sWbTBE{addr: addr, state: SWBa, version: ver, start: c.p.k.Now()}
 	c.wb = &c.wbStore
+	c.p.idx.SetBusy(addr, int(c.node))
 	c.p.bus.Submit(coherence.Msg{Kind: coherence.SnoopPutM, Addr: addr, From: c.node, Version: ver})
 }
 
 func (c *sCacheCtrl) freeWB() {
+	c.p.idx.ClearBusy(c.wb.addr, int(c.node))
 	c.wb = nil
 	parked := c.parked
 	c.parked = nil
@@ -379,9 +440,11 @@ func (c *sCacheCtrl) freeWB() {
 	c.p.data.Kick(network.NodeID(c.node))
 }
 
-// OnOrdered implements BusObserver: the heart of the snooping protocol.
-// Every node observes every ordered request in the same global order.
-func (c *sCacheCtrl) OnOrdered(_ uint64, msg coherence.Msg) {
+// onOrdered is the cache's observation of an ordered request: the heart
+// of the snooping protocol. Every node observes every ordered request in
+// the same global order (Protocol.OnOrdered calls the caches for which
+// it does something).
+func (c *sCacheCtrl) onOrdered(msg coherence.Msg) {
 	own := msg.From == c.node
 	switch msg.Kind {
 	case coherence.SnoopGetS:
@@ -611,6 +674,7 @@ func (c *sCacheCtrl) finish(t *sReqTBE) {
 	done := t.done
 	t.done = nil
 	c.req = nil
+	c.p.idx.ClearBusy(t.addr, int(c.node))
 	if done != nil {
 		c.p.doneAfter(0, done)
 	}
@@ -618,8 +682,9 @@ func (c *sCacheCtrl) finish(t *sReqTBE) {
 
 // ---- memory controller ----
 
-// memCtrl observes the bus and supplies data when no cache owns the
-// block. Ownership is tracked purely from the ordered request stream.
+// memCtrl observes the ordered requests for its home blocks and
+// supplies data when no cache owns the block. Ownership is tracked
+// purely from the ordered request stream.
 type memCtrl struct {
 	p     *Protocol
 	node  coherence.NodeID
@@ -648,12 +713,10 @@ func (m *memCtrl) ownerOf(a coherence.Addr) int {
 	return -1
 }
 
-// OnOrdered implements BusObserver for the home memory controller.
-func (m *memCtrl) OnOrdered(_ uint64, msg coherence.Msg) {
+// onOrdered is the home memory controller's observation of an ordered
+// request for one of its blocks.
+func (m *memCtrl) onOrdered(msg coherence.Msg) {
 	a := msg.Addr
-	if m.p.Home(a) != m.node {
-		return
-	}
 	switch msg.Kind {
 	case coherence.SnoopGetS:
 		if m.ownerOf(a) == -1 {
