@@ -43,7 +43,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seed     = fs.Uint64("seed", 1, "base random seed")
 		netKind  = fs.String("net", "", "network override: static, adaptive, simplified")
 		bw       = fs.Float64("bw", 0.8, "link bandwidth in bytes/cycle for -net (0.1 = 400 MB/s at 4 GHz)")
-		buffers  = fs.Int("buffers", 8, "buffer size for -net simplified")
+		buffers  = fs.Int("buffers", 8, "buffer size for -net simplified, at least 1 (sweep -exp buffers runs the unbounded-buffer baseline)")
 		inject   = fs.Uint64("inject", 0, "inject a recovery every N cycles (0 = off)")
 		interval = fs.Uint64("interval", 0, "checkpoint interval override in cycles")
 		shards   = fs.String("shards", "0", "INTRA-run parallelism: partition this run's torus into tiles advancing in conservative lockstep windows (directory kinds on unlimited-buffer networks only). 'N' requests N tiles auto-factored into a near-square RxC grid; 'RxC' (e.g. 2x2) pins the grid shape — rows must divide the torus height, columns its width. Results are bit-identical for every count and shape >= 1 tile. 0 = classic serial path. Note -runs parallelizes ACROSS perturbed runs instead, one kernel each.")
@@ -61,7 +61,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "specsim: %v\n", err)
 		return 1
 	}
-	if err := checkFlags(explicit, *runs, *cycles, *netKind); err != nil {
+	if err := checkFlags(explicit, *runs, *cycles, *netKind, *buffers); err != nil {
 		return fail(err)
 	}
 
@@ -150,7 +150,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // checkFlags rejects a flag value the run would ignore or cannot honor.
-func checkFlags(explicit map[string]bool, runs int, cycles uint64, net string) error {
+// The network package reads a buffer size of 0 as unbounded buffering,
+// which -net simplified, a finite-buffer network, never means.
+func checkFlags(explicit map[string]bool, runs int, cycles uint64, net string, buffers int) error {
 	switch {
 	case runs < 1:
 		return fmt.Errorf("-runs %d: want at least 1", runs)
@@ -160,6 +162,8 @@ func checkFlags(explicit map[string]bool, runs int, cycles uint64, net string) e
 		return errors.New("-bw sets the bandwidth of a -net override: add -net static, adaptive or simplified")
 	case explicit["buffers"] && net != "simplified":
 		return errors.New("-buffers sizes the buffers of -net simplified only")
+	case net == "simplified" && buffers < 1:
+		return fmt.Errorf("-buffers %d: -net simplified needs at least 1 buffer; its unbounded-buffer baseline is bufsize 0 of sweep -exp buffers", buffers)
 	}
 	return nil
 }

@@ -22,6 +22,8 @@ func TestSpecsimRejectsIgnoredFlags(t *testing.T) {
 		{[]string{"-buffers", "2"}, []string{"-buffers", "-net simplified"}},
 		{[]string{"-net", "static", "-buffers", "2"}, []string{"-buffers", "-net simplified"}},
 		{[]string{"-net", "adaptive", "-bw", "0.4", "-buffers", "4"}, []string{"-buffers", "-net simplified"}},
+		{[]string{"-net", "simplified", "-buffers", "0"}, []string{"-buffers 0", "at least 1", "sweep -exp buffers"}},
+		{[]string{"-net", "simplified", "-buffers", "-2"}, []string{"-buffers -2", "at least 1", "sweep -exp buffers"}},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(tc.args, &stdout, &stderr); code != 1 {
