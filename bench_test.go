@@ -407,8 +407,10 @@ func BenchmarkRecoveryCost(b *testing.B) {
 	b.ReportMetric(s.Coord.MeanLostWork(), "lost-cycles")
 }
 
-// BenchmarkSnoopBusThroughput measures ordered-request throughput of
-// the snooping address network with all 16 observers attached.
+// BenchmarkSnoopBusThroughput measures a 4×4 SnoopFull machine on the
+// Uniform workload, 10k cycles per op: the ordered address network and
+// the protocol's delivery of each request to the controllers it
+// concerns.
 func BenchmarkSnoopBusThroughput(b *testing.B) {
 	cfg := system.DefaultConfig(system.SnoopFull, workload.Uniform)
 	s := system.Build(cfg)
