@@ -104,7 +104,7 @@ func TestRollbackRestoresCheckpoint(t *testing.T) {
 		if err := idx.Audit([]*Hier{&h}); err != nil {
 			t.Fatalf("seed %d: after the rollback: %v", seed, err)
 		}
-		for b := 0; b < 4; b++ {
+		for b := 0; b < 4; b++ { // the holder bits match the L2 exactly
 			a := coherence.Addr(b * coherence.BlockBytes)
 			if held := h.L2.Peek(a) != nil; idx.Holds(a, 0) != held {
 				t.Fatalf("seed %d: index says node 0 holds %#x: %v; its L2: %v", seed, uint64(a), idx.Holds(a, 0), held)

@@ -47,9 +47,9 @@ func (p *Protocol) MemVersion(a coherence.Addr) uint64 {
 // AuditInvariants verifies coherence invariants at a quiescent point:
 // single writer, equal versions across copies, memory currency when
 // unowned, and agreement between the memory controller's owner tracking
-// and actual cache contents. It also checks the delivery index: each
-// holder bit must match its node's L2, and no TBE bit may outlive its
-// transaction.
+// and actual cache contents. It also checks the delivery index: the
+// holder bits must name exactly the L2s that hold each block, and no
+// TBE bit may outlive its transaction.
 func (p *Protocol) AuditInvariants() error {
 	if n := p.InFlight(); n != 0 {
 		return fmt.Errorf("audit requires quiescence; %d transactions in flight", n)
@@ -67,7 +67,12 @@ func (p *Protocol) AuditInvariants() error {
 			tracked = append(tracked, a)
 		}
 	}
-	return mem.Audit(hs, tracked, p.MemVersion, func(a coherence.Addr, owner int, _ []mem.Copy) error {
+	return mem.Audit(hs, tracked, p.MemVersion, func(a coherence.Addr, owner int, cs []mem.Copy) error {
+		for _, c := range cs {
+			if !p.idx.Holds(a, c.Node) {
+				return fmt.Errorf("block %#x: the L2 of node %d holds it, but the index does not say so", uint64(a), c.Node)
+			}
+		}
 		if t := p.mems[p.Home(a)].ownerOf(a); t != owner {
 			if owner < 0 {
 				return fmt.Errorf("block %#x: memory tracks owner %d but no cache owns", uint64(a), t)
