@@ -162,7 +162,7 @@ func (x *BlockIndex) Audit(hs []*Hier) error {
 			for w := 0; w < x.words; w++ {
 				for m := s[w]; m != 0; m &= m - 1 {
 					n := w<<6 | bits.TrailingZeros64(m)
-					if n >= len(hs) || hs[n].L2.Peek(a) == nil {
+					if hs[n].L2.Peek(a) == nil {
 						return fmt.Errorf("block %#x: index names node %d a holder, but its L2 lacks the block", uint64(a), n)
 					}
 				}

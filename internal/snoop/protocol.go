@@ -59,7 +59,9 @@ type Protocol struct {
 
 	// idx names, per block, the caches whose L2 holds it and the caches
 	// with a TBE on it; concerned is OnOrdered's copy of one block's
-	// node set.
+	// node set. One busy bit per node suffices: a node's req and wb
+	// never name the same block, because an access to a block being
+	// written back parks, and a fill's victim is never the block filled.
 	idx       *mem.BlockIndex
 	concerned []uint64
 
