@@ -71,11 +71,6 @@ type sharerLayout struct {
 	cluster  int // CoarseVector: nodes per vector bit
 }
 
-// clusters returns the coarse-vector width in bits.
-func (l sharerLayout) clusters() int {
-	return (l.nodes + l.cluster - 1) / l.cluster
-}
-
 // imprecise reports whether s may name nodes that never shared the
 // block: an overflowed limited-pointer entry (broadcast mode) or any
 // multi-node coarse cluster. Exact sets keep the protocol's

@@ -103,8 +103,7 @@ type Manager struct {
 	// shard count).
 	entriesLogged []uint64
 	overflows     []uint64
-	rollbackLoss  stats.Sample // cycles of lost work per recovery
-	occupancyHW   []int        // per-node high-water mark, entries
+	occupancyHW   []int // per-node high-water mark, entries
 
 	// capEntries is LogBytes/EntryBytes: the per-node log capacity in
 	// entries. pressure[i] is set by LogOldValue (hot path, written
@@ -280,7 +279,6 @@ func (m *Manager) Recover() (snapshot interface{}, lost sim.Time) {
 	now := m.k.Now()
 	lost = now - c.at
 	m.recoveries.Inc()
-	m.rollbackLoss.Observe(float64(lost))
 
 	for n := range m.logs {
 		log := m.logs[n]
@@ -389,9 +387,6 @@ func (m *Manager) Overflows() uint64 {
 func (m *Manager) OccupancyHighWaterBytes(i int) int {
 	return m.occupancyHW[i] * m.cfg.EntryBytes
 }
-
-// MeanRollbackLoss returns the mean lost work per recovery in cycles.
-func (m *Manager) MeanRollbackLoss() float64 { return m.rollbackLoss.Mean() }
 
 // String summarizes the manager state for logs.
 func (m *Manager) String() string {

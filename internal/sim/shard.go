@@ -210,10 +210,6 @@ func (g *Shards) SetLookahead(look [][]Time) {
 	g.look, g.srcs = look, srcs
 }
 
-// Lookahead returns the floor for the directed pair src->dst (0 when
-// inactive).
-func (g *Shards) Lookahead(src, dst int) Time { return g.look[dst][src] }
-
 // N returns the number of shards.
 func (g *Shards) N() int { return len(g.ks) }
 

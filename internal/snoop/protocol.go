@@ -286,12 +286,6 @@ func (p *Protocol) after(d sim.Time, fn func()) {
 	})
 }
 
-func (p *Protocol) sendData(from, to coherence.NodeID, a coherence.Addr, version uint64) {
-	cm := p.getCM()
-	*cm = coherence.Msg{Kind: coherence.Data, Addr: a, From: from, Requestor: to, Version: version}
-	p.sendPooled(cm, to)
-}
-
 // Access performs one blocking processor reference at node.
 func (p *Protocol) Access(node coherence.NodeID, addr coherence.Addr, kind coherence.AccessType, done func()) {
 	p.caches[node].access(coherence.BlockAddr(addr), kind, done)
