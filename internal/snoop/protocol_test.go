@@ -5,7 +5,9 @@ import (
 	"testing/quick"
 
 	"specsimp/internal/coherence"
+	"specsimp/internal/mem"
 	"specsimp/internal/network"
+	"specsimp/internal/safetynet"
 	"specsimp/internal/sim"
 )
 
@@ -18,6 +20,13 @@ const (
 func build(t *testing.T, v Variant, nodes int) (*sim.Kernel, *Protocol) {
 	t.Helper()
 	k := sim.NewKernel()
+	p, _ := buildOn(k, v, nodes, nil)
+	return k, p
+}
+
+// buildOn builds a protocol with tiny caches on k, logging to log, and
+// returns it with its data network.
+func buildOn(k *sim.Kernel, v Variant, nodes int, log mem.UndoLogger) (*Protocol, *network.Network) {
 	side := 2
 	if nodes == 16 {
 		side = 4
@@ -27,7 +36,7 @@ func build(t *testing.T, v Variant, nodes int) (*sim.Kernel, *Protocol) {
 	cfg := DefaultConfig(nodes, v)
 	cfg.L2Bytes, cfg.L2Ways = 2*64, 2 // tiny: evictions on demand
 	cfg.L1Bytes, cfg.L1Ways = 64, 1
-	return k, New(k, bus, data, cfg, nil)
+	return New(k, bus, data, cfg, log), data
 }
 
 func run(t *testing.T, k *sim.Kernel, p *Protocol, node coherence.NodeID, a coherence.Addr, kind coherence.AccessType) {
@@ -118,6 +127,37 @@ func TestSnoopWritebackUpdatesMemory(t *testing.T) {
 	}
 }
 
+// TestReaccessDuringWritebackParks: a node's access to the block it is
+// writing back waits for the writeback to be ordered, then completes.
+func TestReaccessDuringWritebackParks(t *testing.T) {
+	k, p := build(t, Full, 4)
+	run(t, k, p, 1, blkA, coherence.Store)
+	if !p.Flush(1, blkA) {
+		t.Fatal("flush refused")
+	}
+	done := false
+	p.Access(1, blkA, coherence.Load, func() { done = true })
+	if n := len(p.caches[1].parked); n != 1 {
+		t.Fatalf("%d parked accesses want 1", n)
+	}
+	if n := p.InFlight(); n != 2 {
+		t.Fatalf("InFlight=%d want 2 (the writeback and the parked load)", n)
+	}
+	if st := p.CacheState(1, blkA); st != SWBa {
+		t.Fatalf("node1=%s want WB_A", st)
+	}
+	k.Drain(10_000_000)
+	if !done {
+		t.Fatal("parked access never completed")
+	}
+	if n := p.InFlight(); n != 0 {
+		t.Fatalf("InFlight=%d want 0", n)
+	}
+	if err := p.AuditInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestSnoopEvictionWriteback(t *testing.T) {
 	k, p := build(t, Full, 4)
 	run(t, k, p, 1, blkA, coherence.Store)
@@ -140,6 +180,14 @@ func TestSnoopEvictionWriteback(t *testing.T) {
 func raceSetup(t *testing.T, v Variant) (*sim.Kernel, *Protocol, *int) {
 	k, p := build(t, v, 4)
 	run(t, k, p, 1, blkA, coherence.Store) // node1: M
+	return k, p, race(t, k, p)
+}
+
+// race submits the stores of nodes 2 and 3 to A, which node1 owns in
+// M, and node1's writeback of A, in that bus order. It returns the
+// count of the stores' completions.
+func race(t *testing.T, k *sim.Kernel, p *Protocol) *int {
+	t.Helper()
 	completions := new(int)
 	done := func() { *completions++ }
 	// Submission order = bus order: GetM(2), GetM(3), PutM(1). The
@@ -154,7 +202,42 @@ func raceSetup(t *testing.T, v Variant) (*sim.Kernel, *Protocol, *int) {
 	if st := p.CacheState(1, blkA); st != SWBa {
 		t.Fatalf("node1=%s want WB_A", st)
 	}
-	return k, p, completions
+	return completions
+}
+
+// recoveringRace runs race under Spec on a protocol with a SafetyNet
+// log, checkpointed at quiescence after node1's store, and recovers
+// from the detection as the system does: it rolls the machine back to
+// that checkpoint, resets the data network, the transients and the
+// bus, and re-issues the stores of nodes 2 and 3, which the recovery
+// dropped. It drains the kernel and returns the detection reasons and
+// the count of the re-issued stores that completed.
+func recoveringRace(t *testing.T) (*sim.Kernel, *Protocol, *[]string, *int) {
+	t.Helper()
+	k := sim.NewKernel()
+	cfg := safetynet.DefaultConfig(4, 1_000)
+	cfg.ValidationWindow = 0 // the recovery point is the newest checkpoint
+	mgr := safetynet.NewManager(k, cfg)
+	p, data := buildOn(k, Spec, 4, mgr)
+	mgr.TakeCheckpoint(nil) // the empty machine: logging needs a checkpoint
+	run(t, k, p, 1, blkA, coherence.Store)
+	mgr.TakeCheckpoint(nil)
+	race(t, k, p)
+	reasons, stores := new([]string), new(int)
+	p.OnMisSpeculation = func(r string) {
+		*reasons = append(*reasons, r)
+		mgr.Recover()
+		data.Reset()
+		p.ResetTransients()
+		p.bus.Reset()
+		for _, n := range []coherence.NodeID{2, 3} {
+			k.After(1, func() { p.Access(n, blkA, coherence.Store, func() { *stores++ }) })
+		}
+	}
+	if !k.Drain(10_000_000) {
+		t.Fatal("kernel did not quiesce")
+	}
+	return k, p, reasons, stores
 }
 
 func TestSnoopCornerCaseFullHandles(t *testing.T) {
@@ -184,19 +267,18 @@ func TestSnoopCornerCaseFullHandles(t *testing.T) {
 }
 
 func TestSnoopCornerCaseSpecDetects(t *testing.T) {
-	k, p, _ := raceSetup(t, Spec)
-	var reasons []string
-	p.OnMisSpeculation = func(r string) {
-		reasons = append(reasons, r)
-		p.ResetTransients()
-		p.bus.Reset()
-	}
-	k.Drain(10_000_000)
-	if len(reasons) != 1 || reasons[0] != "snoop-corner" {
-		t.Fatalf("reasons=%v want [snoop-corner]", reasons)
+	_, p, reasons, stores := recoveringRace(t)
+	if len(*reasons) != 1 || (*reasons)[0] != "snoop-corner" {
+		t.Fatalf("reasons=%v want [snoop-corner]", *reasons)
 	}
 	if p.Stats().CornerDetected.Value() != 1 {
 		t.Fatalf("CornerDetected=%d want 1", p.Stats().CornerDetected.Value())
+	}
+	if *stores != 2 {
+		t.Fatalf("%d of the 2 re-issued stores completed", *stores)
+	}
+	if err := p.AuditInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
