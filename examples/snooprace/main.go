@@ -58,7 +58,7 @@ func main() {
 
 	fmt.Println("speculative protocol (corner case unspecified -> mis-speculation):")
 	k, p, _ = stage(specsimp.SnSpec)
-	p.OnMisSpeculation = func(reason string) {
+	p.OnMisSpeculation = func(_ specsimp.NodeID, reason string) {
 		fmt.Printf("  MIS-SPECULATION detected: %q -> SafetyNet recovery + slow-start\n", reason)
 		p.ResetTransients()
 		p.Bus().Reset()

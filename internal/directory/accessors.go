@@ -15,8 +15,8 @@ func (p *Protocol) BlockVersion(a coherence.Addr) uint64 {
 				return l.Version
 			}
 		}
-		if c.wb != nil && c.wb.addr == a && c.wb.state == CWBa {
-			return c.wb.version
+		if w := c.wb(); w != nil && w.Addr == a && w.state == CWBa {
+			return w.version
 		}
 	}
 	return p.dirs[p.Home(a)].h.Mem.Read(a)

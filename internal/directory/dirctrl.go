@@ -208,7 +208,7 @@ func (d *dirCtrl) handlePutM(msg coherence.Msg) {
 			// supplies the data itself and flags the WBAck so the owner
 			// knows a forward is still coming. The requestor tolerates
 			// the possible duplicate by transaction id.
-			d.p.sendAfter(d.p.cfg.DirLatency, coherence.Msg{
+			d.p.SendAfter(d.p.cfg.DirLatency, coherence.Msg{
 				Kind: coherence.Data, Addr: a, From: d.node,
 				Requestor: b.requestor, Version: msg.Version,
 				AckCount: b.acks, TID: b.tid,
@@ -286,14 +286,14 @@ func (d *dirCtrl) handleFinalAck(msg coherence.Msg) {
 
 func (d *dirCtrl) sendDataFromMem(a coherence.Addr, to coherence.NodeID, acks int, tid uint64) {
 	version := d.h.Mem.Read(a)
-	d.p.sendAfter(d.p.cfg.DirLatency+d.p.cfg.MemLatency, coherence.Msg{
+	d.p.SendAfter(d.p.cfg.DirLatency+d.p.cfg.MemLatency, coherence.Msg{
 		Kind: coherence.Data, Addr: a, From: d.node,
 		Requestor: to, Version: version, AckCount: acks, TID: tid,
 	}, to)
 }
 
 func (d *dirCtrl) fwd(kind coherence.MsgKind, a coherence.Addr, owner int, req coherence.NodeID, acks int, tid uint64) {
-	d.p.sendAfter(d.p.cfg.DirLatency, coherence.Msg{
+	d.p.SendAfter(d.p.cfg.DirLatency, coherence.Msg{
 		Kind: kind, Addr: a, From: d.node,
 		Requestor: req, AckCount: acks, TID: tid,
 	}, coherence.NodeID(owner))
@@ -302,14 +302,14 @@ func (d *dirCtrl) fwd(kind coherence.MsgKind, a coherence.Addr, owner int, req c
 func (d *dirCtrl) sendInvs(a coherence.Addr, targets []int, req coherence.NodeID, imprecise bool) {
 	for _, n := range targets {
 		d.st.Invalidations.Inc()
-		d.p.sendAfter(d.p.cfg.DirLatency, coherence.Msg{
+		d.p.SendAfter(d.p.cfg.DirLatency, coherence.Msg{
 			Kind: coherence.Inv, Addr: a, From: d.node, Requestor: req, Imprecise: imprecise,
 		}, coherence.NodeID(n))
 	}
 }
 
 func (d *dirCtrl) sendWBAck(a coherence.Addr, to coherence.NodeID, stale bool, tid uint64) {
-	d.p.sendAfter(d.p.cfg.DirLatency, coherence.Msg{
+	d.p.SendAfter(d.p.cfg.DirLatency, coherence.Msg{
 		Kind: coherence.WBAck, Addr: a, From: d.node, Stale: stale, TID: tid,
 	}, to)
 }

@@ -182,9 +182,9 @@ func (m *dirModel) Encode(e *explore.Enc) {
 		e.U8(0xC0)
 		e.Lines(c.L2)
 		e.U8(0xC1)
-		if t := c.req; t != nil {
+		if t := c.req(); t != nil {
 			e.Bool(true)
-			e.U64(uint64(t.addr))
+			e.U64(uint64(t.Addr))
 			e.U8(uint8(t.state))
 			e.Bool(t.isStore)
 			e.Int(t.acksNeeded)
@@ -195,9 +195,9 @@ func (m *dirModel) Encode(e *explore.Enc) {
 		} else {
 			e.Bool(false)
 		}
-		if w := c.wb; w != nil {
+		if w := c.wb(); w != nil {
 			e.Bool(true)
-			e.U64(uint64(w.addr))
+			e.U64(uint64(w.Addr))
 			e.U8(uint8(w.state))
 			e.U64(w.version)
 			e.U64(w.staleTID)
@@ -209,10 +209,10 @@ func (m *dirModel) Encode(e *explore.Enc) {
 		} else {
 			e.Bool(false)
 		}
-		e.Int(len(c.parked))
-		for _, pk := range c.parked {
-			e.U64(uint64(pk.addr))
-			e.U8(uint8(pk.kind))
+		e.Int(len(c.Parked()))
+		for _, pk := range c.Parked() {
+			e.U64(uint64(pk.Addr))
+			e.U8(uint8(pk.Kind))
 		}
 		m.addrbuf = m.addrbuf[:0]
 		for a := range c.servedStable {

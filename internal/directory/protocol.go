@@ -7,7 +7,6 @@ import (
 	"specsimp/internal/coherence"
 	"specsimp/internal/mem"
 	"specsimp/internal/network"
-	"specsimp/internal/pool"
 	"specsimp/internal/sim"
 	"specsimp/internal/stats"
 )
@@ -49,38 +48,27 @@ func DefaultConfig(n int, v Variant) Config {
 	}
 }
 
-// Stats aggregates protocol measurements. All fields are exact integer
-// accumulators, so per-shard instances merge to bit-identical totals
-// regardless of how the nodes were partitioned.
+// Stats aggregates protocol measurements: the counters every cache
+// controller keeps, and the directory protocol's own. All fields are
+// exact integer accumulators, so per-shard instances merge to
+// bit-identical totals regardless of how the nodes were partitioned.
 type Stats struct {
-	Loads, Stores    stats.Counter
-	L1Hits, L2Hits   stats.Counter
-	Transactions     stats.Counter
-	Writebacks       stats.Counter
-	RacesHandled     stats.Counter // Full: races absorbed by the extra machinery
-	WBRaces          stats.Counter // writebacks that raced an in-flight forward
-	DupDataDropped   stats.Counter
-	MissLatency      stats.Histogram
-	TimeoutsDetected stats.Counter
-	OrderViolations  stats.Counter // Spec: detected p2p-ordering mis-speculations
-	Invalidations    stats.Counter // Inv messages sent by directories
-	InvBroadcasts    stats.Counter // inv fan-outs performed in Dir_i_B broadcast mode
-	SharerOverflows  stats.Counter // limited-pointer entries degraded to broadcast
+	mem.Counters
+	RacesHandled    stats.Counter // Full: races absorbed by the extra machinery
+	WBRaces         stats.Counter // writebacks that raced an in-flight forward
+	DupDataDropped  stats.Counter
+	OrderViolations stats.Counter // Spec: detected p2p-ordering mis-speculations
+	Invalidations   stats.Counter // Inv messages sent by directories
+	InvBroadcasts   stats.Counter // inv fan-outs performed in Dir_i_B broadcast mode
+	SharerOverflows stats.Counter // limited-pointer entries degraded to broadcast
 }
 
 // merge folds o into s (exact, order-independent).
 func (s *Stats) merge(o *Stats) {
-	s.Loads.Add(o.Loads.Value())
-	s.Stores.Add(o.Stores.Value())
-	s.L1Hits.Add(o.L1Hits.Value())
-	s.L2Hits.Add(o.L2Hits.Value())
-	s.Transactions.Add(o.Transactions.Value())
-	s.Writebacks.Add(o.Writebacks.Value())
+	s.Counters.Merge(&o.Counters)
 	s.RacesHandled.Add(o.RacesHandled.Value())
 	s.WBRaces.Add(o.WBRaces.Value())
 	s.DupDataDropped.Add(o.DupDataDropped.Value())
-	s.MissLatency.Merge(&o.MissLatency)
-	s.TimeoutsDetected.Add(o.TimeoutsDetected.Value())
 	s.OrderViolations.Add(o.OrderViolations.Value())
 	s.Invalidations.Add(o.Invalidations.Value())
 	s.InvBroadcasts.Add(o.InvBroadcasts.Value())
@@ -90,93 +78,23 @@ func (s *Stats) merge(o *Stats) {
 // Protocol is a complete 16-node (configurable) MOSI directory protocol
 // instance wired to a network. Each node hosts a cache controller and a
 // directory controller for its share of the address space (block-
-// interleaved homes).
+// interleaved homes). The embedded Runtime holds what the directory
+// shares with the snooping protocol: the nodes' kernels and shards,
+// delayed sends and completions, the processor access path and the
+// per-node scans.
 type Protocol struct {
-	k   *sim.Kernel // shard 0's kernel (the only kernel when serial)
+	mem.Runtime
+
 	net network.Fabric
 	cfg Config
 	lay sharerLayout // resolved sharer-set interpretation (from cfg)
-
-	// ks[node] and shardOf[node] map each node's controllers onto their
-	// execution shard (PartitionOnShards); serial protocols map every
-	// node to k / shard 0. All per-node work — delayed sends, completion
-	// callbacks, transaction timestamps — uses the owning node's kernel.
-	ks      []*sim.Kernel
-	shardOf []int
-
-	// OnMisSpeculation is invoked on a detected mis-speculation (a Spec
-	// variant ordering violation) with the detecting node. It must
-	// perform the recovery (reset, restore) or arrange it: serial
-	// systems recover immediately, sharded systems *defer* the recovery
-	// to the next window edge (a detection must not mutate other shards
-	// mid-window). Either way the detecting handler drops its message.
-	// Nil panics on detection — useful in unit tests that must not
-	// mis-speculate.
-	OnMisSpeculation func(node coherence.NodeID, reason string)
 
 	caches []*cacheCtrl
 	dirs   []*dirCtrl
 
 	// sts holds one Stats per shard (one entry when serial); Stats()
 	// merges them exactly, so totals are shard-count-independent.
-	sts   []Stats
-	epoch uint64 // bumped on reset; invalidates scheduled closures
-
-	// cmsgFree recycles the heap-boxed coherence.Msg payloads that ride
-	// inside network messages, one list per shard (drawn from the
-	// sender's shard, returned to the consumer's): a payload returns
-	// once its network message is consumed. Together with the fabric's
-	// own message free lists this keeps the steady-state send path
-	// allocation-free and race-free.
-	cmsgFree []pool.FreeList[coherence.Msg]
-}
-
-// Typed-event opcodes, packed into the low bits of a0 beside the epoch.
-const (
-	dopSend = iota // a1 = destination node, p = *coherence.Msg
-	dopDone        // p = the processor completion callback
-)
-
-// HandleEvent implements sim.Handler for the protocol's delayed actions
-// (directory/cache response sends and processor completion callbacks).
-// Events scheduled before a recovery reset carry a stale epoch and are
-// dropped, exactly like the closure-based predecessor `after`. The
-// event always fires on the scheduling node's shard, so pool traffic
-// stays shard-local.
-func (p *Protocol) HandleEvent(a0, a1 uint64, pay any) {
-	op := a0 & 3
-	if a0>>2 != p.epoch {
-		if op == dopSend {
-			cm := pay.(*coherence.Msg)
-			p.putCM(p.shardOf[cm.From], cm)
-		}
-		return
-	}
-	switch op {
-	case dopSend:
-		p.sendPooled(pay.(*coherence.Msg), coherence.NodeID(a1))
-	case dopDone:
-		pay.(func())()
-	}
-}
-
-func (p *Protocol) getCM(shard int) *coherence.Msg     { return p.cmsgFree[shard].Get() }
-func (p *Protocol) putCM(shard int, cm *coherence.Msg) { p.cmsgFree[shard].Put(cm) }
-
-// sendAfter schedules m to be sent to `to` after d cycles without
-// allocating: the message is boxed once from the pool and the delay is
-// a typed event on the sending node's (m.From's) kernel. A recovery in
-// the meantime drops it.
-func (p *Protocol) sendAfter(d sim.Time, m coherence.Msg, to coherence.NodeID) {
-	cm := p.getCM(p.shardOf[m.From])
-	*cm = m
-	p.ks[m.From].AfterEvent(d, p, p.epoch<<2|dopSend, uint64(to), cm)
-}
-
-// doneAfter schedules a processor completion callback at node after d
-// cycles, dropped on recovery (the restored processors re-issue).
-func (p *Protocol) doneAfter(node coherence.NodeID, d sim.Time, done func()) {
-	p.ks[node].AfterEvent(d, p, p.epoch<<2|dopDone, 0, done)
+	sts []Stats
 }
 
 // New builds the protocol over an existing network fabric; the fabric's
@@ -204,24 +122,18 @@ func NewChecked(k *sim.Kernel, net network.Fabric, cfg Config, log mem.UndoLogge
 	if err != nil {
 		return nil, err
 	}
-	p := &Protocol{k: k, net: net, cfg: cfg, lay: lay}
-	p.ks = make([]*sim.Kernel, cfg.Nodes)
-	p.shardOf = make([]int, cfg.Nodes)
-	p.sts = make([]Stats, 1)
-	p.cmsgFree = make([]pool.FreeList[coherence.Msg], 1)
+	p := &Protocol{net: net, cfg: cfg, lay: lay, sts: make([]Stats, 1)}
+	p.Runtime = mem.NewRuntime(k, cfg.Nodes, cfg.TimeoutCycles, &p.sts[0].Counters, p.sendPooled)
 	p.caches = make([]*cacheCtrl, cfg.Nodes)
 	p.dirs = make([]*dirCtrl, cfg.Nodes)
 	for i := 0; i < cfg.Nodes; i++ {
-		i := i
-		p.ks[i] = k
 		c := &cacheCtrl{
-			Hier:         mem.NewHier(i, cfg.CacheConfig, log, nil),
 			p:            p,
 			node:         coherence.NodeID(i),
-			k:            k,
 			st:           &p.sts[0],
 			servedStable: make(map[coherence.Addr]uint64),
 		}
+		p.Attach(&c.Ctrl, mem.NewHier(i, cfg.CacheConfig, log, nil), c)
 		p.caches[i] = c
 		p.dirs[i] = &dirCtrl{
 			p:       p,
@@ -249,14 +161,13 @@ func (p *Protocol) PartitionOnShards(g *sim.Shards, shardOf []int) {
 	if len(shardOf) != p.cfg.Nodes {
 		panic("directory: shard map size mismatch")
 	}
-	p.k = g.Kernel(0)
 	p.sts = make([]Stats, g.N())
-	p.cmsgFree = make([]pool.FreeList[coherence.Msg], g.N())
-	copy(p.shardOf, shardOf)
-	for i := 0; i < p.cfg.Nodes; i++ {
-		sh := shardOf[i]
-		p.ks[i] = g.Kernel(sh)
-		p.caches[i].k = p.ks[i]
+	cs := make([]*mem.Counters, g.N())
+	for i := range p.sts {
+		cs[i] = &p.sts[i].Counters
+	}
+	p.Partition(g, shardOf, cs)
+	for i, sh := range shardOf {
 		p.caches[i].st = &p.sts[sh]
 		p.dirs[i].st = &p.sts[sh]
 	}
@@ -279,25 +190,12 @@ func (p *Protocol) Stats() *Stats {
 // Config returns the protocol configuration.
 func (p *Protocol) Config() Config { return p.cfg }
 
-// Home returns the directory node for a block (block-interleaved).
-func (p *Protocol) Home(a coherence.Addr) coherence.NodeID {
-	return coherence.NodeID((uint64(a) / coherence.BlockBytes) % uint64(p.cfg.Nodes))
-}
-
-// InFlight reports the number of live transactions (request TBEs,
-// writeback TBEs and busy directory entries); the system layer drains
-// to zero before taking a checkpoint.
+// InFlight reports the number of live transactions (the caches'
+// requests, writebacks and parked accesses, and busy directory
+// entries); the system layer drains to zero before taking a
+// checkpoint.
 func (p *Protocol) InFlight() int {
-	n := 0
-	for _, c := range p.caches {
-		if c.req != nil {
-			n++
-		}
-		if c.wb != nil {
-			n++
-		}
-		n += len(c.parked)
-	}
+	n := p.Runtime.InFlight()
 	for _, d := range p.dirs {
 		n += len(d.busy)
 	}
@@ -309,13 +207,8 @@ func (p *Protocol) InFlight() int {
 // restored by the undo log; transients are derived state that is simply
 // discarded along with the in-flight messages).
 func (p *Protocol) ResetTransients() {
-	p.epoch++
+	p.Runtime.ResetTransients()
 	for _, c := range p.caches {
-		c.FinishRollback()
-		c.req = nil
-		c.reqStore.done = nil // drop the callback reference with the TBE
-		c.wb = nil
-		c.parked = nil
 		c.servedStable = make(map[coherence.Addr]uint64)
 	}
 	for _, d := range p.dirs {
@@ -324,55 +217,8 @@ func (p *Protocol) ResetTransients() {
 	}
 }
 
-// TimeoutScan is the §4 transaction-timeout deadlock detector's scan:
-// it reports the first node (lowest id) whose outstanding transaction
-// has exceeded cfg.TimeoutCycles, if any (never, when TimeoutCycles is
-// zero). It reads every node's TBEs, so the system's watchdog calls it
-// from control context, where a sharded system's shards are all
-// quiesced.
-func (p *Protocol) TimeoutScan() (coherence.NodeID, bool) {
-	if p.cfg.TimeoutCycles == 0 {
-		return 0, false
-	}
-	now := p.k.Now()
-	for _, c := range p.caches {
-		if c.req != nil && now-c.req.start > p.cfg.TimeoutCycles {
-			return c.node, true
-		}
-		if c.wb != nil && now-c.wb.start > p.cfg.TimeoutCycles {
-			return c.node, true
-		}
-	}
-	return 0, false
-}
-
-// NoteTimeout counts a watchdog detection (attributed to the control
-// shard so totals stay shard-count-independent).
-func (p *Protocol) NoteTimeout() { p.sts[0].TimeoutsDetected.Inc() }
-
-// after schedules fn on node's kernel but drops it if a recovery reset
-// happens first: a delayed action of a rolled-back transaction must not
-// leak into the restored execution.
-func (p *Protocol) after(node coherence.NodeID, d sim.Time, fn func()) {
-	e := p.epoch
-	p.ks[node].After(d, func() {
-		if p.epoch == e {
-			fn()
-		}
-	})
-}
-
-func (p *Protocol) misSpeculate(node coherence.NodeID, reason string) {
-	if p.OnMisSpeculation == nil {
-		panic("directory: mis-speculation detected with no recovery wired: " + reason)
-	}
-	p.OnMisSpeculation(node, reason)
-}
-
 func (p *Protocol) send(m coherence.Msg, to coherence.NodeID) {
-	cm := p.getCM(p.shardOf[m.From])
-	*cm = m
-	p.sendPooled(cm, to)
+	p.sendPooled(p.NewMsg(m), to)
 }
 
 // sendPooled injects a pool-boxed payload; ownership of cm passes to the
@@ -412,23 +258,15 @@ func (p *Protocol) deliver(node coherence.NodeID, nm *network.Message) bool {
 		consumed = p.caches[node].handle(msg)
 	}
 	if consumed && pooled {
-		p.putCM(p.shardOf[node], cm)
+		p.FreeMsg(node, cm)
 	}
 	return consumed
-}
-
-// Access performs one processor memory reference at node. done runs at
-// completion (with the data, for loads; with write permission consumed,
-// for stores). The processor model is blocking: a node never has two
-// outstanding Accesses.
-func (p *Protocol) Access(node coherence.NodeID, addr coherence.Addr, kind coherence.AccessType, done func()) {
-	p.caches[node].access(coherence.BlockAddr(addr), kind, done)
 }
 
 // ---- cache controller ----
 
 type reqTBE struct {
-	addr       coherence.Addr
+	mem.TBE
 	state      CState
 	isStore    bool
 	acksNeeded int // -1 until Data arrives
@@ -436,37 +274,22 @@ type reqTBE struct {
 	version    uint64
 	gotData    bool
 	tid        uint64
-	start      sim.Time
-	done       func()
 }
 
 type wbTBE struct {
-	addr     coherence.Addr
+	mem.TBE
 	state    CState // CWBa, CIIa, CIIf
 	version  uint64
 	served   map[uint64]bool // TIDs of forwards served while writing back
 	staleTID uint64          // TID awaited in CIIf
-	start    sim.Time
-}
-
-type parkedAccess struct {
-	addr coherence.Addr
-	kind coherence.AccessType
-	done func()
 }
 
 type cacheCtrl struct {
-	mem.Hier // the node's L1/L2 pair and memory slice
+	mem.Ctrl // the node's hierarchy, transaction heads and parked accesses
 
 	p    *Protocol
 	node coherence.NodeID
-	k    *sim.Kernel // the owning shard's kernel
-	st   *Stats      // the owning shard's stats
-	req  *reqTBE
-	wb   *wbTBE
-	// parked holds accesses waiting for the writeback TBE (an access to
-	// a block currently being written back).
-	parked []parkedAccess
+	st   *Stats // the owning shard's stats
 	// servedStable records the TID of the last forward served from the
 	// stable array (M/O + FwdGetS) per block. If that block is evicted
 	// while the forward's transaction is still busy at the directory, a
@@ -479,63 +302,52 @@ type cacheCtrl struct {
 	// transaction on the same block.
 	tidNext uint64
 
-	// reqStore and wbStore back req and wb: the controller has at most
-	// one of each outstanding, so the TBEs are reused in place instead
-	// of allocated per transaction.
+	// reqStore and wbStore are the request and writeback entries whose
+	// heads Ctrl.Req and Ctrl.WB point at while outstanding: the
+	// controller has at most one of each, so the entries are reused in
+	// place instead of allocated per transaction.
 	reqStore reqTBE
 	wbStore  wbTBE
 }
 
-func (c *cacheCtrl) access(addr coherence.Addr, kind coherence.AccessType, done func()) {
-	if c.req != nil {
-		panic("directory: concurrent accesses at one node (processor must block)")
+// req returns the outstanding request's entry, nil if none.
+func (c *cacheCtrl) req() *reqTBE {
+	if c.Req == nil {
+		return nil
 	}
-	if kind == coherence.Load {
-		c.st.Loads.Inc()
-	} else {
-		c.st.Stores.Inc()
+	return &c.reqStore
+}
+
+// wb returns the outstanding writeback's entry, nil if none.
+func (c *cacheCtrl) wb() *wbTBE {
+	if c.WB == nil {
+		return nil
 	}
-	// A block being written back is untouchable until the WBAck.
-	if c.wb != nil && c.wb.addr == addr {
-		c.parked = append(c.parked, parkedAccess{addr, kind, done})
-		return
-	}
-	line := c.L2.Lookup(addr)
-	if line != nil {
-		if lat, l1, ok := c.Hit(line, kind == coherence.Store); ok {
-			if l1 {
-				c.st.L1Hits.Inc()
-			} else {
-				c.st.L2Hits.Inc()
-			}
-			c.p.doneAfter(c.node, lat, done)
-			return
-		}
-		// Store to S or O: upgrade.
+	return &c.wbStore
+}
+
+// Miss implements mem.Misser: a store to an S or O line upgrades, and
+// a miss from I asks for the block.
+func (c *cacheCtrl) Miss(addr coherence.Addr, line *cache.Line, store bool, done func()) {
+	switch {
+	case line != nil:
 		from := CSMad
 		if CState(line.State) == CO {
 			from = COMad
 		}
 		c.startRequest(addr, coherence.GetM, from, true, done)
-		return
-	}
-	// Miss from I.
-	if kind == coherence.Load {
-		c.startRequest(addr, coherence.GetS, CISd, false, done)
-	} else {
+	case store:
 		c.startRequest(addr, coherence.GetM, CIMad, true, done)
+	default:
+		c.startRequest(addr, coherence.GetS, CISd, false, done)
 	}
 }
 
 func (c *cacheCtrl) startRequest(addr coherence.Addr, kind coherence.MsgKind, st CState, isStore bool, done func()) {
-	c.st.Transactions.Inc()
 	c.tidNext++
 	tid := uint64(c.node)<<48 | c.tidNext
-	c.reqStore = reqTBE{
-		addr: addr, state: st, isStore: isStore,
-		acksNeeded: -1, tid: tid, start: c.k.Now(), done: done,
-	}
-	c.req = &c.reqStore
+	c.reqStore = reqTBE{state: st, isStore: isStore, acksNeeded: -1, tid: tid}
+	c.BeginRequest(&c.reqStore.TBE, addr, done)
 	c.p.send(coherence.Msg{Kind: kind, Addr: addr, From: c.node, Requestor: c.node, TID: tid}, c.p.Home(addr))
 }
 
@@ -561,8 +373,8 @@ func (c *cacheCtrl) handle(msg coherence.Msg) bool {
 }
 
 func (c *cacheCtrl) handleData(msg coherence.Msg) bool {
-	t := c.req
-	if t == nil || t.addr != msg.Addr || t.gotData || msg.TID != t.tid {
+	t := c.req()
+	if t == nil || t.Addr != msg.Addr || t.gotData || msg.TID != t.tid {
 		// No transaction wants this data: it is the directory's copy of
 		// a race response the old owner also supplied, or a stale
 		// duplicate outliving its (completed) transaction — possible
@@ -578,7 +390,7 @@ func (c *cacheCtrl) handleData(msg coherence.Msg) bool {
 	// this very transaction, so no forward can observe it early). If a
 	// frame requires a writeback and the writeback TBE is occupied, the
 	// message waits in the ingress queue — nothing is mutated.
-	if c.L2.Peek(t.addr) == nil && !c.CanFill(t.addr, c.wb == nil) {
+	if c.L2.Peek(t.Addr) == nil && !c.CanFill(t.Addr, c.WB == nil) {
 		return false
 	}
 	t.gotData = true
@@ -609,8 +421,8 @@ func (c *cacheCtrl) handleData(msg coherence.Msg) bool {
 }
 
 func (c *cacheCtrl) handleAck(msg coherence.Msg) {
-	t := c.req
-	if t == nil || t.addr != msg.Addr {
+	t := c.req()
+	if t == nil || t.Addr != msg.Addr {
 		panic("directory: stray inv-ack")
 	}
 	t.acksGot++
@@ -624,44 +436,37 @@ func (c *cacheCtrl) handleAck(msg coherence.Msg) {
 // other agent can observe the line because the directory is busy with
 // this transaction).
 func (c *cacheCtrl) installLine() {
-	t := c.req
+	t := c.req()
 	st := CS
 	if t.isStore {
 		st = CM
 	}
-	c.Fill(t.addr, uint8(st), t.version, c.startWriteback)
+	c.Fill(t.Addr, uint8(st), t.version, c.startWriteback)
 }
 
 // finishRequest retires the access: bumps the version for stores,
 // releases the directory with a FinalAck and calls the processor back.
 func (c *cacheCtrl) finishRequest() {
-	t := c.req
-	line := c.L2.Peek(t.addr)
+	t := c.req()
+	line := c.L2.Peek(t.Addr)
 	if line == nil {
 		panic("directory: finishing a request with no line installed")
 	}
 	if t.isStore {
-		c.LogLine(t.addr)
+		c.LogLine(t.Addr)
 		line.Version++ // the store itself produces a new version
 	}
-	c.FillL1(t.addr)
-	c.p.send(coherence.Msg{Kind: coherence.FinalAck, Addr: t.addr, From: c.node, TID: t.tid}, c.p.Home(t.addr))
-	c.st.MissLatency.Observe(uint64(c.k.Now() - t.start))
-	done := t.done
-	t.done = nil
-	c.req = nil
-	if done != nil {
-		c.p.doneAfter(c.node, 0, done)
-	}
+	c.FillL1(t.Addr)
+	c.p.send(coherence.Msg{Kind: coherence.FinalAck, Addr: t.Addr, From: c.node, TID: t.tid}, c.p.Home(t.Addr))
+	c.FinishRequest()
 }
 
 // startWriteback evicts the M or O line v, which Fill chose as its
 // victim: the writeback TBE holds its data until the WBAck.
 func (c *cacheCtrl) startWriteback(v *cache.Line) {
-	if c.wb != nil {
+	if c.WB != nil {
 		panic("directory: victim writeback with the writeback TBE busy (CanFill lied)")
 	}
-	c.st.Writebacks.Inc()
 	addr, ver := v.Addr, v.Version
 	c.Drop(addr)
 	served := c.wbStore.served
@@ -670,25 +475,19 @@ func (c *cacheCtrl) startWriteback(v *cache.Line) {
 	} else {
 		clear(served)
 	}
-	c.wbStore = wbTBE{addr: addr, state: CWBa, version: ver, served: served, start: c.k.Now()}
-	c.wb = &c.wbStore
+	c.wbStore = wbTBE{state: CWBa, version: ver, served: served}
+	c.BeginWriteback(&c.wbStore.TBE, addr)
 	if tid, ok := c.servedStable[addr]; ok {
-		c.wb.served[tid] = true
+		served[tid] = true
 		delete(c.servedStable, addr)
 	}
 	c.p.send(coherence.Msg{Kind: coherence.PutM, Addr: addr, From: c.node, Version: ver}, c.p.Home(addr))
 }
 
+// freeWB ends the writeback, which re-issues the accesses parked
+// behind it, and retries any Data delivery blocked on the TBE.
 func (c *cacheCtrl) freeWB() {
-	c.wb = nil
-	// Unpark accesses to the written-back block and retry any Data
-	// delivery blocked on the TBE.
-	parked := c.parked
-	c.parked = nil
-	for _, a := range parked {
-		a := a
-		c.p.after(c.node, 0, func() { c.access(a.addr, a.kind, a.done) })
-	}
+	c.EndWriteback()
 	c.p.net.Kick(network.NodeID(c.node))
 }
 
@@ -696,7 +495,7 @@ func (c *cacheCtrl) handleInv(msg coherence.Msg) {
 	ack := func() {
 		c.p.send(coherence.Msg{Kind: coherence.Ack, Addr: msg.Addr, From: c.node}, msg.Requestor)
 	}
-	if t := c.req; t != nil && t.addr == msg.Addr {
+	if t := c.req(); t != nil && t.Addr == msg.Addr {
 		switch t.state {
 		case CISd, CIMad:
 			ack() // stale Inv for a silently evicted older copy
@@ -712,7 +511,7 @@ func (c *cacheCtrl) handleInv(msg coherence.Msg) {
 			return
 		}
 	}
-	if c.wb != nil && c.wb.addr == msg.Addr {
+	if w := c.wb(); w != nil && w.Addr == msg.Addr {
 		// Under exact sharer tracking the owner is never in the sharer
 		// set, so an Inv landing on a pending writeback is still an
 		// illegal transition — keep the detection point. An imprecise
@@ -723,7 +522,7 @@ func (c *cacheCtrl) handleInv(msg coherence.Msg) {
 		// requestor's count. The directory flags that case per message,
 		// so exact entries of every format stay armed.
 		if !msg.Imprecise {
-			c.unspecifiedCache(c.wb.state, EvInv, msg)
+			c.unspecifiedCache(w.state, EvInv, msg)
 			return
 		}
 		ack()
@@ -749,7 +548,7 @@ func (c *cacheCtrl) handleFwd(msg coherence.Msg) {
 		ev = EvFwdGetM
 	}
 	sendData := func(version uint64) {
-		c.p.sendAfter(c.p.cfg.L2Latency, coherence.Msg{
+		c.p.SendAfter(c.p.cfg.L2Latency, coherence.Msg{
 			Kind: coherence.Data, Addr: msg.Addr, From: c.node,
 			Requestor: msg.Requestor, Version: version,
 			AckCount: msg.AckCount, TID: msg.TID,
@@ -757,25 +556,25 @@ func (c *cacheCtrl) handleFwd(msg coherence.Msg) {
 	}
 
 	// Writeback in flight: the TBE is still the owner (WB_A).
-	if c.wb != nil && c.wb.addr == msg.Addr {
-		switch c.wb.state {
+	if w := c.wb(); w != nil && w.Addr == msg.Addr {
+		switch w.state {
 		case CWBa:
-			c.wb.served[msg.TID] = true
-			sendData(c.wb.version)
+			w.served[msg.TID] = true
+			sendData(w.version)
 			if ev == EvFwdGetM {
-				c.wb.state = CIIa
+				w.state = CIIa
 			}
 		case CIIf:
 			// Full variant: the doomed forward the stale WBAck warned
 			// about; the directory already supplied the data.
 			c.freeWB()
 		default:
-			c.unspecifiedCache(c.wb.state, ev, msg)
+			c.unspecifiedCache(w.state, ev, msg)
 		}
 		return
 	}
 	// Owner upgrade in flight (OM_AD still holds the O line).
-	if t := c.req; t != nil && t.addr == msg.Addr && t.state == COMad {
+	if t := c.req(); t != nil && t.Addr == msg.Addr && t.state == COMad {
 		line := c.L2.Peek(msg.Addr)
 		if line == nil {
 			panic("directory: OM_AD without an O line")
@@ -794,7 +593,7 @@ func (c *cacheCtrl) handleFwd(msg coherence.Msg) {
 		// interconnect reordered a WBAck ahead of this forward; recover.
 		if c.p.cfg.Variant == Spec {
 			c.st.OrderViolations.Inc()
-			c.p.misSpeculate(c.node, "p2p-ordering")
+			c.p.MisSpeculate(c.node, "p2p-ordering")
 			return
 		}
 		c.unspecifiedCache(CInv, ev, msg)
@@ -818,7 +617,8 @@ func (c *cacheCtrl) handleFwd(msg coherence.Msg) {
 }
 
 func (c *cacheCtrl) handleWBAck(msg coherence.Msg) {
-	if c.wb == nil || c.wb.addr != msg.Addr {
+	w := c.wb()
+	if w == nil || w.Addr != msg.Addr {
 		c.unspecifiedCache(c.stateOf(msg.Addr), EvWBAck, msg)
 		return
 	}
@@ -827,34 +627,34 @@ func (c *cacheCtrl) handleWBAck(msg coherence.Msg) {
 		// flight. If we already served it, the writeback is finished;
 		// otherwise wait for the doomed forward in II_F.
 		if c.p.cfg.Variant != Full {
-			c.unspecifiedCache(c.wb.state, EvWBAckStale, msg)
+			c.unspecifiedCache(w.state, EvWBAckStale, msg)
 			return
 		}
 		c.st.RacesHandled.Inc()
-		if c.wb.served[msg.TID] || c.wb.state == CIIa {
+		if w.served[msg.TID] || w.state == CIIa {
 			c.freeWB()
 			return
 		}
-		c.wb.state = CIIf
-		c.wb.staleTID = msg.TID
+		w.state = CIIf
+		w.staleTID = msg.TID
 		return
 	}
-	switch c.wb.state {
+	switch w.state {
 	case CWBa, CIIa:
 		c.freeWB()
 	default:
-		c.unspecifiedCache(c.wb.state, EvWBAck, msg)
+		c.unspecifiedCache(w.state, EvWBAck, msg)
 	}
 }
 
 // stateOf reconstructs the controller-visible state for addr, for
 // diagnostics.
 func (c *cacheCtrl) stateOf(addr coherence.Addr) CState {
-	if c.req != nil && c.req.addr == addr {
-		return c.req.state
+	if t := c.req(); t != nil && t.Addr == addr {
+		return t.state
 	}
-	if c.wb != nil && c.wb.addr == addr {
-		return c.wb.state
+	if w := c.wb(); w != nil && w.Addr == addr {
+		return w.state
 	}
 	if l := c.L2.Peek(addr); l != nil {
 		return CState(l.State)

@@ -11,10 +11,9 @@ import (
 // the holders, whose L2 holds a valid line of the block, and the busy
 // nodes, which have a transaction on it. A Hier given the index keeps
 // its node's holder bits (Fill, Drop, the rollback restore and
-// FinishRollback); the protocol that owns the index keeps the busy
-// bits. It moves no simulated state: the snooping protocol reads it to
-// deliver each ordered request only to the controllers the request can
-// change.
+// FinishRollback), and the Ctrl around it keeps the busy bits. It
+// moves no simulated state: the snooping protocol reads it to deliver
+// each ordered request only to the controllers the request can change.
 //
 // A node set is a bitmask of as many 64-bit words as the node count
 // needs, so every machine size has one. The sets live in pages of
@@ -124,11 +123,8 @@ func (x *BlockIndex) Holds(a coherence.Addr, node int) bool {
 	return p != nil && p[off+node>>6]>>(node&63)&1 != 0
 }
 
-// SetBusy records that node has a transaction on block a.
-func (x *BlockIndex) SetBusy(a coherence.Addr, node int) { x.set(a, x.words, node) }
-
-// ClearBusy records that node's transaction on block a has ended.
-func (x *BlockIndex) ClearBusy(a coherence.Addr, node int) { x.clear(a, x.words, node) }
+func (x *BlockIndex) setBusy(a coherence.Addr, node int)   { x.set(a, x.words, node) }
+func (x *BlockIndex) clearBusy(a coherence.Addr, node int) { x.clear(a, x.words, node) }
 
 // Concerned writes into dst, of length Words, the union of block a's
 // holders and busy nodes: node i is bit i%64 of dst[i/64].

@@ -26,11 +26,11 @@ func (p *Protocol) BlockVersion(a coherence.Addr) uint64 {
 func (p *Protocol) CacheState(node coherence.NodeID, a coherence.Addr) SState {
 	c := p.caches[node]
 	a = coherence.BlockAddr(a)
-	if c.req != nil && c.req.addr == a {
-		return c.req.state
+	if t := c.req(); t != nil && t.Addr == a {
+		return t.state
 	}
-	if c.wb != nil && c.wb.addr == a {
-		return c.wb.state
+	if w := c.wb(); w != nil && w.Addr == a {
+		return w.state
 	}
 	if l := c.L2.Peek(a); l != nil {
 		return SState(l.State)

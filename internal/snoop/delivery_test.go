@@ -120,7 +120,7 @@ func (r *deliveryRun) drive(seed uint64, ops, nblocks int) {
 		r.k.At(sim.Time(rng.Intn(50)), issue[n])
 		r.k.At(sim.Time(rng.Intn(200)), flush)
 	}
-	r.p.OnMisSpeculation = func(string) {
+	r.p.OnMisSpeculation = func(coherence.NodeID, string) {
 		r.detections++
 		r.mgr.Recover()
 		r.data.Reset()

@@ -152,7 +152,7 @@ func (m *snoopModel) Reset() {
 	m.Begin()
 	m.bus = &modelBus{h: &m.Harness}
 	m.p = New(m.Kernel, m.bus, &m.Data, m.pcfg, nil)
-	m.p.OnMisSpeculation = func(reason string) {
+	m.p.OnMisSpeculation = func(_ coherence.NodeID, reason string) {
 		m.bus.Reset()
 		m.Detect(reason)
 	}
@@ -203,9 +203,9 @@ func (m *snoopModel) Encode(e *explore.Enc) {
 		e.U8(0xA0)
 		e.Lines(c.L2)
 		e.U8(0xA1)
-		if t := c.req; t != nil {
+		if t := c.req(); t != nil {
 			e.Bool(true)
-			e.U64(uint64(t.addr))
+			e.U64(uint64(t.Addr))
 			e.U8(uint8(t.state))
 			e.Bool(t.isStore)
 			e.Bool(t.doomed)
@@ -218,18 +218,18 @@ func (m *snoopModel) Encode(e *explore.Enc) {
 		} else {
 			e.Bool(false)
 		}
-		if w := c.wb; w != nil {
+		if w := c.wb(); w != nil {
 			e.Bool(true)
-			e.U64(uint64(w.addr))
+			e.U64(uint64(w.Addr))
 			e.U8(uint8(w.state))
 			e.U64(w.version)
 		} else {
 			e.Bool(false)
 		}
-		e.Int(len(c.parked))
-		for _, pk := range c.parked {
-			e.U64(uint64(pk.addr))
-			e.U8(uint8(pk.kind))
+		e.Int(len(c.Parked()))
+		for _, pk := range c.Parked() {
+			e.U64(uint64(pk.Addr))
+			e.U8(uint8(pk.Kind))
 		}
 	}
 	for _, mc := range m.p.mems {

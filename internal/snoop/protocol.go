@@ -8,7 +8,6 @@ import (
 	"specsimp/internal/coherence"
 	"specsimp/internal/mem"
 	"specsimp/internal/network"
-	"specsimp/internal/pool"
 	"specsimp/internal/sim"
 	"specsimp/internal/stats"
 )
@@ -29,30 +28,24 @@ func DefaultConfig(n int, v Variant) Config {
 	return Config{Nodes: n, Variant: v, CacheConfig: mem.DefaultCacheConfig()}
 }
 
-// Stats aggregates snooping protocol measurements.
+// Stats aggregates snooping protocol measurements: the counters every
+// cache controller keeps, and the snooping protocol's own.
 type Stats struct {
-	Loads, Stores     stats.Counter
-	L1Hits, L2Hits    stats.Counter
-	Transactions      stats.Counter
-	Writebacks        stats.Counter
+	mem.Counters
 	ObligationsServed stats.Counter
 	CornerDetected    stats.Counter // Spec: mis-speculations on the corner case
 	CornerHandled     stats.Counter // Full: corner case absorbed by the specified no-op
-	MissLatency       stats.Histogram
-	TimeoutsDetected  stats.Counter
 }
 
 // Protocol is a broadcast snooping MOSI protocol over an ordered address
-// bus and an unordered data fabric.
+// bus and an unordered data fabric. The embedded Runtime holds what it
+// shares with the directory protocol, on one shard and one kernel.
 type Protocol struct {
-	k    *sim.Kernel
+	mem.Runtime
+
 	bus  AddressNet
 	data network.Fabric
 	cfg  Config
-
-	// OnMisSpeculation handles a detected mis-speculation (the §3.2
-	// corner case under Spec). Nil panics.
-	OnMisSpeculation func(reason string)
 
 	caches []*sCacheCtrl
 	mems   []*memCtrl
@@ -65,54 +58,7 @@ type Protocol struct {
 	idx       *mem.BlockIndex
 	concerned []uint64
 
-	st    Stats
-	epoch uint64
-
-	// cmsgFree recycles the boxed payloads of data-fabric messages (see
-	// the directory package for the scheme).
-	cmsgFree pool.FreeList[coherence.Msg]
-}
-
-// Typed-event opcodes, packed into the low bits of a0 beside the epoch.
-const (
-	sopSend = iota // a1 = destination node, p = *coherence.Msg
-	sopDone        // p = the processor completion callback
-)
-
-// HandleEvent implements sim.Handler for delayed data supplies and
-// processor completion callbacks; stale-epoch events (scheduled before a
-// recovery) are dropped.
-func (p *Protocol) HandleEvent(a0, a1 uint64, pay any) {
-	op := a0 & 3
-	if a0>>2 != p.epoch {
-		if op == sopSend {
-			p.putCM(pay.(*coherence.Msg))
-		}
-		return
-	}
-	switch op {
-	case sopSend:
-		p.sendPooled(pay.(*coherence.Msg), coherence.NodeID(a1))
-	case sopDone:
-		pay.(func())()
-	}
-}
-
-func (p *Protocol) getCM() *coherence.Msg   { return p.cmsgFree.Get() }
-func (p *Protocol) putCM(cm *coherence.Msg) { p.cmsgFree.Put(cm) }
-
-// sendAfter schedules a data message for later injection without
-// allocating; a recovery in the meantime drops it.
-func (p *Protocol) sendAfter(d sim.Time, m coherence.Msg, to coherence.NodeID) {
-	cm := p.getCM()
-	*cm = m
-	p.k.AfterEvent(d, p, p.epoch<<2|sopSend, uint64(to), cm)
-}
-
-// doneAfter schedules a processor completion callback, dropped on
-// recovery (the restored processors re-issue).
-func (p *Protocol) doneAfter(d sim.Time, done func()) {
-	p.k.AfterEvent(d, p, p.epoch<<2|sopDone, 0, done)
+	st Stats
 }
 
 func (p *Protocol) sendPooled(cm *coherence.Msg, to coherence.NodeID) {
@@ -131,13 +77,14 @@ func New(k *sim.Kernel, bus AddressNet, data network.Fabric, cfg Config, log mem
 	if cfg.Nodes != data.NumNodes() {
 		panic("snoop: node count differs from data network size")
 	}
-	p := &Protocol{k: k, bus: bus, data: data, cfg: cfg, idx: mem.NewBlockIndex(cfg.Nodes)}
+	p := &Protocol{bus: bus, data: data, cfg: cfg, idx: mem.NewBlockIndex(cfg.Nodes)}
+	p.Runtime = mem.NewRuntime(k, cfg.Nodes, cfg.TimeoutCycles, &p.st.Counters, p.sendPooled)
 	p.concerned = make([]uint64, p.idx.Words())
 	p.caches = make([]*sCacheCtrl, cfg.Nodes)
 	p.mems = make([]*memCtrl, cfg.Nodes)
 	for i := 0; i < cfg.Nodes; i++ {
-		i := i
-		c := &sCacheCtrl{Hier: mem.NewHier(i, cfg.CacheConfig, log, p.idx), p: p, node: coherence.NodeID(i)}
+		c := &sCacheCtrl{p: p, node: coherence.NodeID(i)}
+		p.Attach(&c.Ctrl, mem.NewHier(i, cfg.CacheConfig, log, p.idx), c)
 		m := &memCtrl{p: p, node: coherence.NodeID(i), h: &c.Hier, owner: make(map[coherence.Addr]int)}
 		p.caches[i] = c
 		p.mems[i] = m
@@ -145,7 +92,7 @@ func New(k *sim.Kernel, bus AddressNet, data network.Fabric, cfg Config, log mem
 			if cm, ok := nm.Payload.(*coherence.Msg); ok {
 				msg := *cm
 				if c.handleData(msg) {
-					p.putCM(cm)
+					p.FreeMsg(c.node, cm)
 					return true
 				}
 				return false
@@ -177,7 +124,7 @@ func (p *Protocol) OnOrdered(_ uint64, msg coherence.Msg) {
 	p.idx.Concerned(a, set)
 	set[msg.From>>6] |= 1 << (msg.From & 63)
 	home := int(p.Home(a))
-	epoch := p.epoch
+	epoch := p.Epoch()
 	for w, caches := range set {
 		at := caches
 		if home>>6 == w {
@@ -188,13 +135,13 @@ func (p *Protocol) OnOrdered(_ uint64, msg coherence.Msg) {
 			i := w<<6 | b
 			if caches>>b&1 != 0 {
 				p.caches[i].onOrdered(msg)
-				if p.epoch != epoch {
+				if p.Epoch() != epoch {
 					return
 				}
 			}
 			if i == home {
 				p.mems[i].onOrdered(msg)
-				if p.epoch != epoch {
+				if p.Epoch() != epoch {
 					return
 				}
 			}
@@ -211,86 +158,6 @@ func (p *Protocol) Config() Config { return p.cfg }
 // Bus returns the ordered address network.
 func (p *Protocol) Bus() AddressNet { return p.bus }
 
-// Home maps a block to the node whose memory controller owns it.
-func (p *Protocol) Home(a coherence.Addr) coherence.NodeID {
-	return coherence.NodeID((uint64(a) / coherence.BlockBytes) % uint64(p.cfg.Nodes))
-}
-
-// InFlight counts live transactions; the system drains it to zero
-// before checkpoints.
-func (p *Protocol) InFlight() int {
-	n := 0
-	for _, c := range p.caches {
-		if c.req != nil {
-			n++
-		}
-		if c.wb != nil {
-			n++
-		}
-		n += len(c.parked)
-	}
-	return n
-}
-
-// ResetTransients clears all TBEs and obligations after a recovery.
-func (p *Protocol) ResetTransients() {
-	p.epoch++
-	for _, c := range p.caches {
-		c.FinishRollback()
-		if c.req != nil {
-			p.idx.ClearBusy(c.req.addr, int(c.node))
-		}
-		if c.wb != nil {
-			p.idx.ClearBusy(c.wb.addr, int(c.node))
-		}
-		c.req = nil
-		c.reqStore.done = nil // drop the callback reference with the TBE
-		c.wb = nil
-		c.parked = nil
-	}
-}
-
-// TimeoutScan reports the first node (lowest id) whose outstanding
-// transaction has exceeded cfg.TimeoutCycles, if any (never, when
-// TimeoutCycles is zero): the scan the system's deadlock watchdog runs.
-func (p *Protocol) TimeoutScan() (coherence.NodeID, bool) {
-	if p.cfg.TimeoutCycles == 0 {
-		return 0, false
-	}
-	now := p.k.Now()
-	for _, c := range p.caches {
-		if (c.req != nil && now-c.req.start > p.cfg.TimeoutCycles) ||
-			(c.wb != nil && now-c.wb.start > p.cfg.TimeoutCycles) {
-			return c.node, true
-		}
-	}
-	return 0, false
-}
-
-// NoteTimeout counts a watchdog detection.
-func (p *Protocol) NoteTimeout() { p.st.TimeoutsDetected.Inc() }
-
-func (p *Protocol) misSpeculate(reason string) {
-	if p.OnMisSpeculation == nil {
-		panic("snoop: mis-speculation detected with no recovery wired: " + reason)
-	}
-	p.OnMisSpeculation(reason)
-}
-
-func (p *Protocol) after(d sim.Time, fn func()) {
-	e := p.epoch
-	p.k.After(d, func() {
-		if p.epoch == e {
-			fn()
-		}
-	})
-}
-
-// Access performs one blocking processor reference at node.
-func (p *Protocol) Access(node coherence.NodeID, addr coherence.Addr, kind coherence.AccessType, done func()) {
-	p.caches[node].access(coherence.BlockAddr(addr), kind, done)
-}
-
 // Flush writes back (M/O) or silently drops (S) the block at node, if
 // present and stable. It reports whether anything was done. Exposed for
 // cache-flush semantics and used by directed race tests.
@@ -306,97 +173,79 @@ type obligation struct {
 }
 
 type sReqTBE struct {
-	addr     coherence.Addr
+	mem.TBE
 	state    SState
 	isStore  bool
 	doomed   bool // foreign GetM ordered after our GetS: copy dies on arrival
 	obs      []obligation
 	obClosed bool
-	start    sim.Time
-	done     func()
 }
 
 type sWbTBE struct {
-	addr    coherence.Addr
+	mem.TBE
 	state   SState // SWBa, SWBai
 	version uint64
-	start   sim.Time
-}
-
-type sParked struct {
-	addr coherence.Addr
-	kind coherence.AccessType
-	done func()
 }
 
 type sCacheCtrl struct {
-	mem.Hier // the node's L1/L2 pair and memory slice
+	mem.Ctrl // the node's hierarchy, transaction heads and parked accesses
 
-	p      *Protocol
-	node   coherence.NodeID
-	req    *sReqTBE
-	wb     *sWbTBE
-	parked []sParked
+	p    *Protocol
+	node coherence.NodeID
 
-	// reqStore and wbStore back req and wb: at most one of each is
-	// outstanding per controller, so the TBEs are reused in place.
+	// reqStore and wbStore are the request and writeback entries whose
+	// heads Ctrl.Req and Ctrl.WB point at while outstanding: at most one
+	// of each is outstanding per controller, so the entries are reused
+	// in place.
 	reqStore sReqTBE
 	wbStore  sWbTBE
 }
 
-func (c *sCacheCtrl) access(addr coherence.Addr, kind coherence.AccessType, done func()) {
-	if c.req != nil {
-		panic("snoop: concurrent accesses at one node")
+// req returns the outstanding request's entry, nil if none.
+func (c *sCacheCtrl) req() *sReqTBE {
+	if c.Req == nil {
+		return nil
 	}
-	if kind == coherence.Load {
-		c.p.st.Loads.Inc()
-	} else {
-		c.p.st.Stores.Inc()
+	return &c.reqStore
+}
+
+// wb returns the outstanding writeback's entry, nil if none.
+func (c *sCacheCtrl) wb() *sWbTBE {
+	if c.WB == nil {
+		return nil
 	}
-	if c.wb != nil && c.wb.addr == addr {
-		c.parked = append(c.parked, sParked{addr, kind, done})
-		return
-	}
-	line := c.L2.Lookup(addr)
-	if line != nil {
-		if lat, l1, ok := c.Hit(line, kind == coherence.Store); ok {
-			if l1 {
-				c.p.st.L1Hits.Inc()
-			} else {
-				c.p.st.L2Hits.Inc()
-			}
-			c.p.doneAfter(lat, done)
-			return
-		}
-		// Store upgrade.
-		st2 := SIMad
+	return &c.wbStore
+}
+
+// Miss implements mem.Misser: a store to an S or O line upgrades, and
+// a miss from I asks for the block.
+func (c *sCacheCtrl) Miss(addr coherence.Addr, line *cache.Line, store bool, done func()) {
+	switch {
+	case line != nil:
+		st := SIMad
 		if SState(line.State) == SO {
-			st2 = SOMad
+			st = SOMad
 		}
-		c.startRequest(addr, coherence.SnoopGetM, st2, true, done)
-		return
-	}
-	if kind == coherence.Load {
-		c.startRequest(addr, coherence.SnoopGetS, SISad, false, done)
-	} else {
+		c.startRequest(addr, coherence.SnoopGetM, st, true, done)
+	case store:
 		c.startRequest(addr, coherence.SnoopGetM, SIMad, true, done)
+	default:
+		c.startRequest(addr, coherence.SnoopGetS, SISad, false, done)
 	}
 }
 
 func (c *sCacheCtrl) startRequest(addr coherence.Addr, kind coherence.MsgKind, st SState, isStore bool, done func()) {
-	c.p.st.Transactions.Inc()
 	obs := c.reqStore.obs[:0] // reuse the obligation list's storage
-	c.reqStore = sReqTBE{addr: addr, state: st, isStore: isStore, obs: obs, start: c.p.k.Now(), done: done}
-	c.req = &c.reqStore
-	c.p.idx.SetBusy(addr, int(c.node))
+	c.reqStore = sReqTBE{state: st, isStore: isStore, obs: obs}
+	c.BeginRequest(&c.reqStore.TBE, addr, done)
 	c.p.bus.Submit(coherence.Msg{Kind: kind, Addr: addr, From: c.node})
 }
 
 func (c *sCacheCtrl) flush(addr coherence.Addr) bool {
-	if c.req != nil && c.req.addr == addr {
+	if c.Req != nil && c.Req.Addr == addr {
 		return false
 	}
-	if c.wb != nil {
+	if c.WB != nil {
 		return false
 	}
 	line := c.L2.Peek(addr)
@@ -415,24 +264,17 @@ func (c *sCacheCtrl) flush(addr coherence.Addr) bool {
 }
 
 func (c *sCacheCtrl) startWriteback(v *cache.Line) {
-	c.p.st.Writebacks.Inc()
 	addr, ver := v.Addr, v.Version
 	c.Drop(addr)
-	c.wbStore = sWbTBE{addr: addr, state: SWBa, version: ver, start: c.p.k.Now()}
-	c.wb = &c.wbStore
-	c.p.idx.SetBusy(addr, int(c.node))
+	c.wbStore = sWbTBE{state: SWBa, version: ver}
+	c.BeginWriteback(&c.wbStore.TBE, addr)
 	c.p.bus.Submit(coherence.Msg{Kind: coherence.SnoopPutM, Addr: addr, From: c.node, Version: ver})
 }
 
+// freeWB ends the writeback, which re-issues the accesses parked
+// behind it, and retries any Data delivery blocked on the TBE.
 func (c *sCacheCtrl) freeWB() {
-	c.p.idx.ClearBusy(c.wb.addr, int(c.node))
-	c.wb = nil
-	parked := c.parked
-	c.parked = nil
-	for _, a := range parked {
-		a := a
-		c.p.after(0, func() { c.access(a.addr, a.kind, a.done) })
-	}
+	c.EndWriteback()
 	c.p.data.Kick(network.NodeID(c.node))
 }
 
@@ -466,16 +308,16 @@ func (c *sCacheCtrl) onOrdered(msg coherence.Msg) {
 }
 
 func (c *sCacheCtrl) ownGetS(msg coherence.Msg) {
-	t := c.req
-	if t == nil || t.addr != msg.Addr || t.state != SISad {
+	t := c.req()
+	if t == nil || t.Addr != msg.Addr || t.state != SISad {
 		panic(fmt.Sprintf("snoop: own GetS ordered with no matching transaction node=%d addr=%#x", c.node, uint64(msg.Addr)))
 	}
 	t.state = SISd
 }
 
 func (c *sCacheCtrl) ownGetM(msg coherence.Msg) {
-	t := c.req
-	if t == nil || t.addr != msg.Addr {
+	t := c.req()
+	if t == nil || t.Addr != msg.Addr {
 		panic("snoop: own GetM ordered with no matching transaction")
 	}
 	switch t.state {
@@ -484,21 +326,21 @@ func (c *sCacheCtrl) ownGetM(msg coherence.Msg) {
 	case SOMad:
 		// Still owner: the upgrade completes at the order point with
 		// our own data; no one will supply.
-		line := c.L2.Peek(t.addr)
+		line := c.L2.Peek(t.Addr)
 		if line == nil {
 			panic("snoop: OM_AD without an O line")
 		}
-		c.LogLine(t.addr)
+		c.LogLine(t.Addr)
 		line.State = uint8(SM)
 		line.Version++
-		c.finish(t)
+		c.FinishRequest()
 	default:
 		panic(fmt.Sprintf("snoop: own GetM in state %s", t.state))
 	}
 }
 
 func (c *sCacheCtrl) ownPutM(msg coherence.Msg) {
-	if c.wb == nil || c.wb.addr != msg.Addr {
+	if c.WB == nil || c.WB.Addr != msg.Addr {
 		panic("snoop: own PutM ordered with no writeback TBE")
 	}
 	// SWBa: memory takes the data (the memory controller observed the
@@ -508,14 +350,14 @@ func (c *sCacheCtrl) ownPutM(msg coherence.Msg) {
 
 func (c *sCacheCtrl) foreignGetS(msg coherence.Msg) {
 	a := msg.Addr
-	if c.wb != nil && c.wb.addr == a {
-		if c.wb.state == SWBa {
+	if w := c.wb(); w != nil && w.Addr == a {
+		if w.state == SWBa {
 			// Still owner: supply; the writeback remains pending.
-			c.supply(msg.From, a, c.wb.version)
+			c.supply(msg.From, a, w.version)
 		}
 		return // SWBai: the new owner supplies
 	}
-	if t := c.req; t != nil && t.addr == a {
+	if t := c.req(); t != nil && t.Addr == a {
 		switch t.state {
 		case SIMd:
 			if !t.obClosed {
@@ -545,18 +387,18 @@ func (c *sCacheCtrl) foreignGetS(msg coherence.Msg) {
 
 func (c *sCacheCtrl) foreignGetM(msg coherence.Msg) {
 	a := msg.Addr
-	if c.wb != nil && c.wb.addr == a {
-		switch c.wb.state {
+	if w := c.wb(); w != nil && w.Addr == a {
+		switch w.state {
 		case SWBa:
 			// Ownership transfers at this order point.
-			c.supply(msg.From, a, c.wb.version)
-			c.wb.state = SWBai
+			c.supply(msg.From, a, w.version)
+			w.state = SWBai
 		case SWBai:
 			// THE §3.2 corner case: a second foreign RequestReadWrite
 			// while our writeback is still unordered.
 			if c.p.cfg.Variant == Spec {
 				c.p.st.CornerDetected.Inc()
-				c.p.misSpeculate("snoop-corner")
+				c.p.MisSpeculate(c.node, "snoop-corner")
 				return
 			}
 			// Full variant: specified as a no-op — ownership already
@@ -565,7 +407,7 @@ func (c *sCacheCtrl) foreignGetM(msg coherence.Msg) {
 		}
 		return
 	}
-	if t := c.req; t != nil && t.addr == a {
+	if t := c.req(); t != nil && t.Addr == a {
 		switch t.state {
 		case SIMd:
 			if !t.obClosed {
@@ -607,7 +449,7 @@ func (c *sCacheCtrl) invalidateIfPresent(a coherence.Addr) {
 }
 
 func (c *sCacheCtrl) supply(to coherence.NodeID, a coherence.Addr, version uint64) {
-	c.p.sendAfter(c.p.cfg.L2Latency,
+	c.p.SendAfter(c.p.cfg.L2Latency,
 		coherence.Msg{Kind: coherence.Data, Addr: a, From: c.node, Requestor: to, Version: version}, to)
 }
 
@@ -615,8 +457,8 @@ func (c *sCacheCtrl) supply(to coherence.NodeID, a coherence.Addr, version uint6
 // false when the install needs a frame that requires the (occupied)
 // writeback TBE.
 func (c *sCacheCtrl) handleData(msg coherence.Msg) bool {
-	t := c.req
-	if t == nil || t.addr != msg.Addr {
+	t := c.req()
+	if t == nil || t.Addr != msg.Addr {
 		panic(fmt.Sprintf("snoop: stray data node=%d %s", c.node, msg))
 	}
 	switch t.state {
@@ -624,33 +466,33 @@ func (c *sCacheCtrl) handleData(msg coherence.Msg) bool {
 		if t.doomed {
 			// The copy was invalidated (in bus order) before arrival;
 			// the load still consumes the value it was ordered with.
-			c.finish(t)
+			c.FinishRequest()
 			return true
 		}
-		if c.L2.Peek(t.addr) == nil && !c.CanFill(t.addr, c.wb == nil) {
+		if c.L2.Peek(t.Addr) == nil && !c.CanFill(t.Addr, c.WB == nil) {
 			return false
 		}
-		c.installStable(t.addr, SS, msg.Version)
-		c.finish(t)
+		c.installStable(t.Addr, SS, msg.Version)
+		c.FinishRequest()
 	case SIMd:
-		if c.L2.Peek(t.addr) == nil && !c.CanFill(t.addr, c.wb == nil) {
+		if c.L2.Peek(t.Addr) == nil && !c.CanFill(t.Addr, c.WB == nil) {
 			return false
 		}
-		c.installStable(t.addr, SM, msg.Version+1) // +1: the store itself
-		line := c.L2.Peek(t.addr)
+		c.installStable(t.Addr, SM, msg.Version+1) // +1: the store itself
+		line := c.L2.Peek(t.Addr)
 		// Serve supply obligations queued while awaiting data, in bus
 		// order; a GetM obligation ends our ownership.
 		for _, ob := range t.obs {
 			c.p.st.ObligationsServed.Inc()
-			c.supply(ob.node, t.addr, line.Version)
+			c.supply(ob.node, t.Addr, line.Version)
 			if ob.isGetM {
-				c.Drop(t.addr)
+				c.Drop(t.Addr)
 				break
 			}
-			c.LogLine(t.addr)
+			c.LogLine(t.Addr)
 			line.State = uint8(SO)
 		}
-		c.finish(t)
+		c.FinishRequest()
 	default:
 		panic(fmt.Sprintf("snoop: data in state %s", t.state))
 	}
@@ -662,17 +504,6 @@ func (c *sCacheCtrl) handleData(msg coherence.Msg) bool {
 func (c *sCacheCtrl) installStable(a coherence.Addr, st SState, version uint64) {
 	if c.Fill(a, uint8(st), version, c.startWriteback) {
 		c.FillL1(a)
-	}
-}
-
-func (c *sCacheCtrl) finish(t *sReqTBE) {
-	c.p.st.MissLatency.Observe(uint64(c.p.k.Now() - t.start))
-	done := t.done
-	t.done = nil
-	c.req = nil
-	c.p.idx.ClearBusy(t.addr, int(c.node))
-	if done != nil {
-		c.p.doneAfter(0, done)
 	}
 }
 
@@ -739,6 +570,6 @@ func (m *memCtrl) onOrdered(msg coherence.Msg) {
 
 func (m *memCtrl) supply(to coherence.NodeID, a coherence.Addr) {
 	version := m.h.Mem.Read(a)
-	m.p.sendAfter(m.p.cfg.MemLatency,
+	m.p.SendAfter(m.p.cfg.MemLatency,
 		coherence.Msg{Kind: coherence.Data, Addr: a, From: m.node, Requestor: to, Version: version}, to)
 }

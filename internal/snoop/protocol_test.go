@@ -137,7 +137,7 @@ func TestReaccessDuringWritebackParks(t *testing.T) {
 	}
 	done := false
 	p.Access(1, blkA, coherence.Load, func() { done = true })
-	if n := len(p.caches[1].parked); n != 1 {
+	if n := len(p.caches[1].Parked()); n != 1 {
 		t.Fatalf("%d parked accesses want 1", n)
 	}
 	if n := p.InFlight(); n != 2 {
@@ -224,7 +224,7 @@ func recoveringRace(t *testing.T) (*sim.Kernel, *Protocol, *[]string, *int) {
 	mgr.TakeCheckpoint(nil)
 	race(t, k, p)
 	reasons, stores := new([]string), new(int)
-	p.OnMisSpeculation = func(r string) {
+	p.OnMisSpeculation = func(_ coherence.NodeID, r string) {
 		*reasons = append(*reasons, r)
 		mgr.Recover()
 		data.Reset()
@@ -287,7 +287,7 @@ func TestSnoopCornerRequiresTwoOutstanding(t *testing.T) {
 	// must not mis-speculate — this is the property slow-start exploits
 	// (limit outstanding transactions to 1 and the corner cannot recur).
 	k, p := build(t, Spec, 4)
-	p.OnMisSpeculation = func(r string) { t.Fatalf("unexpected mis-speculation %q", r) }
+	p.OnMisSpeculation = func(_ coherence.NodeID, r string) { t.Fatalf("unexpected mis-speculation %q", r) }
 	run(t, k, p, 1, blkA, coherence.Store)
 	done := 0
 	p.Access(2, blkA, coherence.Store, func() { done++ })

@@ -234,6 +234,7 @@ type protocol interface {
 	ResetTransients()
 	TimeoutScan() (coherence.NodeID, bool)
 	NoteTimeout()
+	Counters() *mem.Counters
 }
 
 // control is the scheduling surface of all global control. *sim.Kernel
@@ -589,6 +590,7 @@ func BuildChecked(cfg Config) (*System, error) {
 	s.Net, s.Mgr, s.Coord = net, mgr, coord
 
 	var access processor.AccessFunc
+	misSpeculate := func(_ coherence.NodeID, reason string) { coord.TriggerMisSpeculation(reason) }
 	switch {
 	case cfg.Kind.IsDirectory():
 		dir, err := directory.NewChecked(k, net, directoryConfigFor(cfg), mgr)
@@ -598,16 +600,15 @@ func BuildChecked(cfg Config) (*System, error) {
 		s.Dir, s.proto = dir, dir
 		if s.sh != nil {
 			dir.PartitionOnShards(s.sh.grp, s.sh.shardOf)
-			dir.OnMisSpeculation = s.deferMisSpeculation
-		} else {
-			dir.OnMisSpeculation = func(_ coherence.NodeID, reason string) { coord.TriggerMisSpeculation(reason) }
+			misSpeculate = s.deferMisSpeculation
 		}
+		dir.OnMisSpeculation = misSpeculate
 		access = dir.Access
 	default:
 		s.Bus = snoop.NewBus(k, cfg.Bus)
 		s.Snoop = snoop.New(k, s.Bus, net, snoopConfigFor(cfg), mgr)
 		s.proto = s.Snoop
-		s.Snoop.OnMisSpeculation = func(reason string) { coord.TriggerMisSpeculation(reason) }
+		s.Snoop.OnMisSpeculation = misSpeculate
 		access = s.Snoop.Access
 	}
 
@@ -1077,26 +1078,23 @@ func (s *System) Results() Results {
 			r.LogHighWaterBytes = hw
 		}
 	}
+	c := s.proto.Counters()
+	r.MissLatencyMean = c.MissLatency.Mean()
+	r.Transactions = c.Transactions.Value()
+	r.Writebacks = c.Writebacks.Value()
+	r.Timeouts = c.TimeoutsDetected.Value()
 	if s.Dir != nil {
 		ds := s.Dir.Stats()
-		r.MissLatencyMean = ds.MissLatency.Mean()
-		r.Transactions = ds.Transactions.Value()
-		r.Writebacks = ds.Writebacks.Value()
 		r.WBRaces = ds.WBRaces.Value()
 		r.Invalidations = ds.Invalidations.Value()
 		r.InvBroadcasts = ds.InvBroadcasts.Value()
 		r.SharerOverflows = ds.SharerOverflows.Value()
 		r.OrderViolations = ds.OrderViolations.Value()
-		r.Timeouts = ds.TimeoutsDetected.Value()
 	}
 	if s.Snoop != nil {
 		ss := s.Snoop.Stats()
-		r.MissLatencyMean = ss.MissLatency.Mean()
-		r.Transactions = ss.Transactions.Value()
-		r.Writebacks = ss.Writebacks.Value()
 		r.CornerDetected = ss.CornerDetected.Value()
 		r.CornerHandled = ss.CornerHandled.Value()
-		r.Timeouts = ss.TimeoutsDetected.Value()
 	}
 	return r
 }
