@@ -187,6 +187,10 @@ func (p *Protocol) Stats() *Stats {
 	return m
 }
 
+// Counters returns the counters every cache controller keeps, as Stats
+// does.
+func (p *Protocol) Counters() *mem.Counters { return &p.Stats().Counters }
+
 // Config returns the protocol configuration.
 func (p *Protocol) Config() Config { return p.cfg }
 

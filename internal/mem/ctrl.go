@@ -80,7 +80,7 @@ type Ctrl struct {
 	m       Misser
 	k       *sim.Kernel // the owning shard's kernel
 	shard   int
-	C       *Counters // the owning shard's counters
+	st      *Counters // the owning shard's counters
 	waiting []ParkedAccess
 }
 
@@ -94,9 +94,9 @@ func (c *Ctrl) access(a coherence.Addr, kind coherence.AccessType, done func()) 
 		panic(fmt.Sprintf("mem: concurrent accesses at node %d (the processor must block)", c.node))
 	}
 	if kind == coherence.Load {
-		c.C.Loads.Inc()
+		c.st.Loads.Inc()
 	} else {
-		c.C.Stores.Inc()
+		c.st.Stores.Inc()
 	}
 	if c.WB != nil && c.WB.Addr == a {
 		c.waiting = append(c.waiting, ParkedAccess{a, kind, done})
@@ -106,9 +106,9 @@ func (c *Ctrl) access(a coherence.Addr, kind coherence.AccessType, done func()) 
 	if line != nil {
 		if lat, l1, ok := c.Hit(line, kind == coherence.Store); ok {
 			if l1 {
-				c.C.L1Hits.Inc()
+				c.st.L1Hits.Inc()
 			} else {
-				c.C.L2Hits.Inc()
+				c.st.L2Hits.Inc()
 			}
 			c.rt.doneAfter(c, lat, done)
 			return
@@ -125,7 +125,7 @@ func (c *Ctrl) Parked() []ParkedAccess { return c.waiting }
 // node's outstanding request for block a; done is the processor's
 // completion callback.
 func (c *Ctrl) BeginRequest(t *TBE, a coherence.Addr, done func()) {
-	c.C.Transactions.Inc()
+	c.st.Transactions.Inc()
 	*t = TBE{Addr: a, Start: c.k.Now(), done: done}
 	c.Req = t
 	c.setBusy(a)
@@ -135,7 +135,7 @@ func (c *Ctrl) BeginRequest(t *TBE, a coherence.Addr, done func()) {
 // completion callback.
 func (c *Ctrl) FinishRequest() {
 	t := c.Req
-	c.C.MissLatency.Observe(uint64(c.k.Now() - t.Start))
+	c.st.MissLatency.Observe(uint64(c.k.Now() - t.Start))
 	done := t.done
 	t.done = nil
 	c.Req = nil
@@ -148,7 +148,7 @@ func (c *Ctrl) FinishRequest() {
 // BeginWriteback makes t, the head of the protocol's writeback entry,
 // the node's outstanding writeback of block a.
 func (c *Ctrl) BeginWriteback(t *TBE, a coherence.Addr) {
-	c.C.Writebacks.Inc()
+	c.st.Writebacks.Inc()
 	*t = TBE{Addr: a, Start: c.k.Now()}
 	c.WB = t
 	c.setBusy(a)
@@ -162,7 +162,7 @@ func (c *Ctrl) EndWriteback() {
 	parked := c.waiting
 	c.waiting = nil
 	for _, a := range parked {
-		c.rt.after(c, 0, func() { c.access(a.Addr, a.Kind, a.done) })
+		c.rt.doneAfter(c, 0, func() { c.access(a.Addr, a.Kind, a.done) })
 	}
 }
 
@@ -180,11 +180,11 @@ func (c *Ctrl) clearBusy(a coherence.Addr) {
 
 // Runtime is the protocol-independent half of a machine's cache
 // controllers: the nodes' shared halves, the kernels and shards they
-// run on, the per-shard message free lists and counters, and the
-// recovery epoch. It delivers the delayed sends and completions the
-// controllers schedule, and drops those a recovery overtook. Each
-// protocol embeds it by value. A snooping machine is the one-shard,
-// one-kernel case of a directory machine's layout.
+// run on, the per-shard message free lists, and the recovery epoch. It
+// delivers the delayed sends and completions the controllers schedule,
+// and drops those a recovery overtook. Each protocol embeds it by
+// value. A snooping machine is the one-shard, one-kernel case of a
+// directory machine's layout.
 type Runtime struct {
 	// OnMisSpeculation is invoked on a detected mis-speculation with
 	// the detecting node. It must perform the recovery (reset,
@@ -197,6 +197,7 @@ type Runtime struct {
 
 	ctrls []*Ctrl
 	k     *sim.Kernel // shard 0's kernel (the only kernel when serial)
+	c0    *Counters   // shard 0's counters, which count watchdog detections
 
 	// free recycles the boxed coherence.Msg payloads that ride inside
 	// network messages, one list per shard: a box is drawn from the
@@ -205,7 +206,6 @@ type Runtime struct {
 	// lists this keeps the steady-state send path allocation-free and
 	// race-free.
 	free []pool.FreeList[coherence.Msg]
-	cs   []*Counters // per shard
 
 	epoch   uint64 // bumped on reset; drops events scheduled before it
 	timeout sim.Time
@@ -220,8 +220,8 @@ func NewRuntime(k *sim.Kernel, nodes int, timeout sim.Time, c *Counters, send fu
 	return Runtime{
 		ctrls:   make([]*Ctrl, nodes),
 		k:       k,
+		c0:      c,
 		free:    make([]pool.FreeList[coherence.Msg], 1),
-		cs:      []*Counters{c},
 		timeout: timeout,
 		send:    send,
 	}
@@ -230,7 +230,7 @@ func NewRuntime(k *sim.Kernel, nodes int, timeout sim.Time, c *Counters, send fu
 // Attach makes c, holding hierarchy h, the shared half of its node's
 // cache controller, whose protocol half is m.
 func (r *Runtime) Attach(c *Ctrl, h Hier, m Misser) {
-	*c = Ctrl{Hier: h, rt: r, m: m, k: r.k, C: r.cs[0]}
+	*c = Ctrl{Hier: h, rt: r, m: m, k: r.k, st: r.c0}
 	r.ctrls[h.node] = c
 }
 
@@ -240,27 +240,13 @@ func (r *Runtime) Attach(c *Ctrl, h Hier, m Misser) {
 // is attached and before any traffic.
 func (r *Runtime) Partition(g *sim.Shards, shardOf []int, cs []*Counters) {
 	r.k = g.Kernel(0)
+	r.c0 = cs[0]
 	r.free = make([]pool.FreeList[coherence.Msg], g.N())
-	r.cs = cs
 	for i, c := range r.ctrls {
 		c.shard = shardOf[i]
 		c.k = g.Kernel(c.shard)
-		c.C = cs[c.shard]
+		c.st = cs[c.shard]
 	}
-}
-
-// Counters returns the shared counters: live on one shard, an exact
-// merged snapshot, the same at any shard count, on several. Sharded
-// callers must be quiesced.
-func (r *Runtime) Counters() *Counters {
-	if len(r.cs) == 1 {
-		return r.cs[0]
-	}
-	m := &Counters{}
-	for _, c := range r.cs {
-		m.Merge(c)
-	}
-	return m
 }
 
 // Epoch returns the recovery epoch: it changes exactly when
@@ -299,7 +285,7 @@ func (r *Runtime) InFlight() int {
 
 // ResetTransients is the controllers' part of a SafetyNet recovery. It
 // bumps the epoch, which drops every delayed send, completion and
-// action scheduled before it, completes each hierarchy's rollback, and
+// re-issue scheduled before it, completes each hierarchy's rollback, and
 // discards each node's request, writeback and parked accesses. The
 // undo log restores checkpointed state; transients are derived state,
 // discarded along with the messages in flight.
@@ -341,7 +327,7 @@ func (r *Runtime) TimeoutScan() (coherence.NodeID, bool) {
 
 // NoteTimeout counts a watchdog detection (attributed to shard 0 so
 // totals stay shard-count-independent).
-func (r *Runtime) NoteTimeout() { r.cs[0].TimeoutsDetected.Inc() }
+func (r *Runtime) NoteTimeout() { r.c0.TimeoutsDetected.Inc() }
 
 // MisSpeculate reports a mis-speculation that node detected to
 // OnMisSpeculation.
@@ -379,9 +365,9 @@ func (r *Runtime) SendAfter(d sim.Time, m coherence.Msg, to coherence.NodeID) {
 	r.ctrls[m.From].k.AfterEvent(d, r, r.epoch<<2|opSend, uint64(to), r.NewMsg(m))
 }
 
-// doneAfter schedules a processor completion callback at c's node
-// after d cycles, dropped on recovery (the restored processors
-// re-issue).
+// doneAfter schedules done, a processor completion callback or the
+// re-issue of a parked access, at c's node after d cycles. A recovery
+// in the meantime drops it: the restored processors re-issue.
 func (r *Runtime) doneAfter(c *Ctrl, d sim.Time, done func()) {
 	c.k.AfterEvent(d, r, r.epoch<<2|opDone, 0, done)
 }
@@ -405,16 +391,4 @@ func (r *Runtime) HandleEvent(a0, a1 uint64, pay any) {
 	case opDone:
 		pay.(func())()
 	}
-}
-
-// after schedules fn on c's kernel but drops it if a recovery reset
-// happens first: a delayed action of a rolled-back transaction must not
-// leak into the restored execution.
-func (r *Runtime) after(c *Ctrl, d sim.Time, fn func()) {
-	e := r.epoch
-	c.k.After(d, func() {
-		if r.epoch == e {
-			fn()
-		}
-	})
 }

@@ -152,6 +152,9 @@ func (p *Protocol) OnOrdered(_ uint64, msg coherence.Msg) {
 // Stats exposes the protocol counters.
 func (p *Protocol) Stats() *Stats { return &p.st }
 
+// Counters returns the counters every cache controller keeps.
+func (p *Protocol) Counters() *mem.Counters { return &p.st.Counters }
+
 // Config returns the protocol configuration.
 func (p *Protocol) Config() Config { return p.cfg }
 
