@@ -41,7 +41,7 @@ func (c *Counters) Merge(o *Counters) {
 // request and writeback entries embed it.
 type TBE struct {
 	Addr  coherence.Addr
-	Start sim.Time
+	start sim.Time
 	done  func()
 }
 
@@ -126,7 +126,7 @@ func (c *Ctrl) Parked() []ParkedAccess { return c.waiting }
 // completion callback.
 func (c *Ctrl) BeginRequest(t *TBE, a coherence.Addr, done func()) {
 	c.st.Transactions.Inc()
-	*t = TBE{Addr: a, Start: c.k.Now(), done: done}
+	*t = TBE{Addr: a, start: c.k.Now(), done: done}
 	c.Req = t
 	c.setBusy(a)
 }
@@ -135,7 +135,7 @@ func (c *Ctrl) BeginRequest(t *TBE, a coherence.Addr, done func()) {
 // completion callback.
 func (c *Ctrl) FinishRequest() {
 	t := c.Req
-	c.st.MissLatency.Observe(uint64(c.k.Now() - t.Start))
+	c.st.MissLatency.Observe(uint64(c.k.Now() - t.start))
 	done := t.done
 	t.done = nil
 	c.Req = nil
@@ -149,7 +149,7 @@ func (c *Ctrl) FinishRequest() {
 // the node's outstanding writeback of block a.
 func (c *Ctrl) BeginWriteback(t *TBE, a coherence.Addr) {
 	c.st.Writebacks.Inc()
-	*t = TBE{Addr: a, Start: c.k.Now()}
+	*t = TBE{Addr: a, start: c.k.Now()}
 	c.WB = t
 	c.setBusy(a)
 }
@@ -318,7 +318,7 @@ func (r *Runtime) TimeoutScan() (coherence.NodeID, bool) {
 	}
 	now := r.k.Now()
 	for i, c := range r.ctrls {
-		if (c.Req != nil && now-c.Req.Start > r.timeout) || (c.WB != nil && now-c.WB.Start > r.timeout) {
+		if (c.Req != nil && now-c.Req.start > r.timeout) || (c.WB != nil && now-c.WB.start > r.timeout) {
 			return coherence.NodeID(i), true
 		}
 	}
