@@ -76,12 +76,12 @@ type Ctrl struct {
 	// and writeback entries, nil when there is none.
 	Req, WB *TBE
 
-	rt      *Runtime
-	m       Misser
-	k       *sim.Kernel // the owning shard's kernel
-	shard   int
-	st      *Counters // the owning shard's counters
-	waiting []ParkedAccess
+	rt     *Runtime
+	m      Misser
+	k      *sim.Kernel // the owning shard's kernel
+	shard  int
+	st     *Counters // the owning shard's counters
+	parked []ParkedAccess
 }
 
 // access performs one processor reference to block a. The processor
@@ -99,7 +99,7 @@ func (c *Ctrl) access(a coherence.Addr, kind coherence.AccessType, done func()) 
 		c.st.Stores.Inc()
 	}
 	if c.WB != nil && c.WB.Addr == a {
-		c.waiting = append(c.waiting, ParkedAccess{a, kind, done})
+		c.parked = append(c.parked, ParkedAccess{a, kind, done})
 		return
 	}
 	line := c.L2.Lookup(a)
@@ -119,7 +119,7 @@ func (c *Ctrl) access(a coherence.Addr, kind coherence.AccessType, done func()) 
 
 // Parked returns the accesses parked behind the node's writeback,
 // oldest first.
-func (c *Ctrl) Parked() []ParkedAccess { return c.waiting }
+func (c *Ctrl) Parked() []ParkedAccess { return c.parked }
 
 // BeginRequest makes t, the head of the protocol's request entry, the
 // node's outstanding request for block a; done is the processor's
@@ -159,8 +159,8 @@ func (c *Ctrl) BeginWriteback(t *TBE, a coherence.Addr) {
 func (c *Ctrl) EndWriteback() {
 	c.clearBusy(c.WB.Addr)
 	c.WB = nil
-	parked := c.waiting
-	c.waiting = nil
+	parked := c.parked
+	c.parked = nil
 	for _, a := range parked {
 		c.rt.doneAfter(c, 0, func() { c.access(a.Addr, a.Kind, a.done) })
 	}
@@ -278,7 +278,7 @@ func (r *Runtime) InFlight() int {
 		if c.WB != nil {
 			n++
 		}
-		n += len(c.waiting)
+		n += len(c.parked)
 	}
 	return n
 }
@@ -302,7 +302,7 @@ func (r *Runtime) ResetTransients() {
 			c.clearBusy(c.WB.Addr)
 			c.WB = nil
 		}
-		c.waiting = nil
+		c.parked = nil
 	}
 }
 
