@@ -10,7 +10,9 @@ import (
 	"strconv"
 	"testing"
 
+	"specsimp/internal/core"
 	"specsimp/internal/experiments"
+	"specsimp/internal/network"
 	"specsimp/internal/runner"
 	"specsimp/internal/sim"
 	"specsimp/internal/system"
@@ -47,7 +49,7 @@ func benchParams() experiments.Params {
 // characterization of the three speculative designs.
 func BenchmarkTable1Characterize(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if len(Table1()) == 0 {
+		if len(core.Table1()) == 0 {
 			b.Fatal("empty table")
 		}
 	}
@@ -56,10 +58,10 @@ func BenchmarkTable1Characterize(b *testing.B) {
 // BenchmarkTable2System covers Table 2: building the full target system
 // from its parameter table.
 func BenchmarkTable2System(b *testing.B) {
-	cfg := DefaultConfig(DirectorySpec, OLTP)
+	cfg := system.DefaultConfig(system.DirectorySpec, workload.OLTP)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s := Build(cfg)
+		s := system.Build(cfg)
 		if s == nil {
 			b.Fatal("build failed")
 		}
@@ -69,7 +71,7 @@ func BenchmarkTable2System(b *testing.B) {
 // BenchmarkTable3Workloads covers Table 3: generating each workload's
 // reference stream.
 func BenchmarkTable3Workloads(b *testing.B) {
-	for _, wl := range WorkloadSuite() {
+	for _, wl := range workload.Suite {
 		wl := wl
 		b.Run(wl.Name, func(b *testing.B) {
 			g := workload.New(wl, 0, 16, 1)
@@ -87,7 +89,7 @@ func BenchmarkTable3Workloads(b *testing.B) {
 // rejection-inversion sample + Feistel block permutation + phase
 // offset). Tracked in BENCH_kernel.json; must stay allocation-free.
 func BenchmarkZipfStream(b *testing.B) {
-	wl := OLTP
+	wl := workload.OLTP
 	wl.ZipfSkew = 1.1
 	wl.PhaseLen = 2048
 	g := workload.New(wl, 0, 16, 1)
@@ -103,11 +105,11 @@ func BenchmarkZipfStream(b *testing.B) {
 func BenchmarkFig1Reorder(b *testing.B) {
 	reorders := 0
 	for i := 0; i < b.N; i++ {
-		k := NewKernel()
-		net := NewNetwork(k, AdaptiveNetConfig(4, 4, 1.0))
-		net.AttachClient(5, NetClientFunc(func(m *NetMessage) bool { return true }))
-		net.Send(&NetMessage{Src: 0, Dst: 5, VNet: 1, Size: 2000})
-		k.At(1, func() { net.Send(&NetMessage{Src: 0, Dst: 5, VNet: 1, Size: 8}) })
+		k := sim.NewKernel()
+		net := network.New(k, network.AdaptiveConfig(4, 4, 1.0))
+		net.AttachClient(5, network.ClientFunc(func(m *network.Message) bool { return true }))
+		net.Send(&network.Message{Src: 0, Dst: 5, VNet: 1, Size: 2000})
+		k.At(1, func() { net.Send(&network.Message{Src: 0, Dst: 5, VNet: 1, Size: 8}) })
 		k.Drain(1_000_000)
 		reorders += int(net.Stats().Reordered[1].Value())
 	}
@@ -122,15 +124,15 @@ func BenchmarkFig1Reorder(b *testing.B) {
 func BenchmarkFig23Deadlock(b *testing.B) {
 	stuck := 0
 	for i := 0; i < b.N; i++ {
-		k := NewKernel()
-		net := NewNetwork(k, SimplifiedNetConfig(4, 4, 1.0, 1))
+		k := sim.NewKernel()
+		net := network.New(k, network.SimplifiedConfig(4, 4, 1.0, 1))
 		for n := 0; n < 16; n++ {
-			net.AttachClient(NetNodeID(n), NetClientFunc(func(m *NetMessage) bool { return true }))
+			net.AttachClient(network.NodeID(n), network.ClientFunc(func(m *network.Message) bool { return true }))
 		}
 		for s := 0; s < 16; s++ {
 			for d := 0; d < 16; d++ {
 				if s != d {
-					net.Send(&NetMessage{Src: NetNodeID(s), Dst: NetNodeID(d), VNet: 0, Size: 72})
+					net.Send(&network.Message{Src: network.NodeID(s), Dst: network.NodeID(d), VNet: 0, Size: 72})
 				}
 			}
 		}
@@ -158,7 +160,7 @@ func BenchmarkFig4(b *testing.B) {
 // links under the speculative directory protocol.
 func BenchmarkFig5(b *testing.B) {
 	p := benchParams()
-	for _, wl := range WorkloadSuite() {
+	for _, wl := range workload.Suite {
 		wl := wl
 		b.Run(wl.Name, func(b *testing.B) {
 			pw := p
@@ -291,13 +293,13 @@ func BenchmarkRunnerGrid(b *testing.B) {
 
 // BenchmarkRunOne measures the sweeps' unit of work end to end: build,
 // start and run the default speculative system for 100k cycles through
-// the facade's RunOne. BENCH_kernel.json tracks its ns/op and allocs/op
+// system.RunOne. BENCH_kernel.json tracks its ns/op and allocs/op
 // across PRs; CI runs it at short benchtime as a regression smoke.
 func BenchmarkRunOne(b *testing.B) {
-	cfg := DefaultConfig(DirectorySpec, OLTP)
+	cfg := system.DefaultConfig(system.DirectorySpec, workload.OLTP)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res := RunOne(cfg, 100_000)
+		res := system.RunOne(cfg, 100_000)
 		if res.Instructions == 0 {
 			b.Fatal("no forward progress")
 		}
@@ -309,10 +311,10 @@ func BenchmarkRunOne(b *testing.B) {
 // benchmark below: the classic single-kernel path at the 64-node
 // geometry that dominates scale64 wall-clock.
 func BenchmarkRunOne8x8(b *testing.B) {
-	cfg := DefaultConfigSized(DirectorySpec, OLTP, 8, 8)
+	cfg := system.DefaultConfigSized(system.DirectorySpec, workload.OLTP, 8, 8)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res := RunOne(cfg, 100_000)
+		res := system.RunOne(cfg, 100_000)
 		if res.Instructions == 0 {
 			b.Fatal("no forward progress")
 		}
@@ -328,11 +330,11 @@ func BenchmarkRunOne8x8(b *testing.B) {
 // credit wake-ups, occupancy-bitmap time advance) plus, on hosts with
 // cores to spare, actual parallel window execution.
 func BenchmarkRunOneSharded(b *testing.B) {
-	cfg := DefaultConfigSized(DirectorySpec, OLTP, 8, 8)
+	cfg := system.DefaultConfigSized(system.DirectorySpec, workload.OLTP, 8, 8)
 	cfg.Shards = 2
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res := RunOne(cfg, 100_000)
+		res := system.RunOne(cfg, 100_000)
 		if res.Instructions == 0 {
 			b.Fatal("no forward progress")
 		}
@@ -345,10 +347,10 @@ func BenchmarkRunOneSharded(b *testing.B) {
 // the 2D tile substrate targets: the classic single-kernel path on the
 // largest machine the scale64 study runs.
 func BenchmarkRunOne16x16(b *testing.B) {
-	cfg := DefaultConfigSized(DirectorySpec, OLTP, 16, 16)
+	cfg := system.DefaultConfigSized(system.DirectorySpec, workload.OLTP, 16, 16)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res := RunOne(cfg, 100_000)
+		res := system.RunOne(cfg, 100_000)
 		if res.Instructions == 0 {
 			b.Fatal("no forward progress")
 		}
@@ -364,11 +366,11 @@ func BenchmarkRunOne16x16(b *testing.B) {
 // boundary drains, plus actual parallel window execution on hosts with
 // cores to spare.
 func BenchmarkRunOne16x16Tiled(b *testing.B) {
-	cfg := DefaultConfigSized(DirectorySpec, OLTP, 16, 16)
+	cfg := system.DefaultConfigSized(system.DirectorySpec, workload.OLTP, 16, 16)
 	cfg.Shards = 4
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res := RunOne(cfg, 100_000)
+		res := system.RunOne(cfg, 100_000)
 		if res.Instructions == 0 {
 			b.Fatal("no forward progress")
 		}
@@ -380,10 +382,10 @@ func BenchmarkRunOne16x16Tiled(b *testing.B) {
 // BenchmarkSystemThroughput measures raw simulator speed: simulated
 // cycles per host second for the default speculative system.
 func BenchmarkSystemThroughput(b *testing.B) {
-	cfg := DefaultConfig(DirectorySpec, OLTP)
+	cfg := system.DefaultConfig(system.DirectorySpec, workload.OLTP)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s := Build(cfg)
+		s := system.Build(cfg)
 		s.Start()
 		s.Run(100_000)
 	}
@@ -393,9 +395,9 @@ func BenchmarkSystemThroughput(b *testing.B) {
 // BenchmarkRecoveryCost measures one full SafetyNet recovery
 // (rollback + reset + restore) on a warmed-up system.
 func BenchmarkRecoveryCost(b *testing.B) {
-	cfg := DefaultConfig(DirectoryFull, workload.Uniform)
+	cfg := system.DefaultConfig(system.DirectoryFull, workload.Uniform)
 	cfg.CheckpointInterval = 5_000
-	s := Build(cfg)
+	s := system.Build(cfg)
 	s.Start()
 	s.Run(100_000)
 	b.ResetTimer()

@@ -18,7 +18,11 @@ import (
 	"log"
 	"os"
 
-	"specsimp"
+	"specsimp/internal/core"
+	"specsimp/internal/directory"
+	"specsimp/internal/snoop"
+	"specsimp/internal/system"
+	"specsimp/internal/workload"
 )
 
 func main() {
@@ -58,20 +62,20 @@ func main() {
 func table1() {
 	fmt.Println("Table 1. Using the framework to characterize three speculative designs")
 	fmt.Println()
-	fmt.Println(specsimp.Table1())
+	fmt.Println(core.Table1())
 }
 
 func table2() {
 	fmt.Println("Table 2. Target system parameters")
 	fmt.Println()
-	cfg := specsimp.DefaultConfig(specsimp.DirectorySpec, specsimp.OLTP)
-	fmt.Println(specsimp.Table2(cfg))
+	cfg := system.DefaultConfig(system.DirectorySpec, workload.OLTP)
+	fmt.Println(system.Table2(cfg))
 }
 
 func table3() {
 	fmt.Println("Table 3. Workloads (synthetic substitutes; see DESIGN.md)")
 	fmt.Println()
-	for _, wl := range specsimp.WorkloadSuite() {
+	for _, wl := range workload.Suite {
 		fmt.Printf("%-10s %s\n", wl.Name+":", wl.Description)
 		fmt.Printf("%-10s shared %d blocks (%.0f%% of refs, %.0f%% stores), private %d blocks/node, migratory %.0f%%\n",
 			"", wl.SharedBlocks, 100*wl.SharedFrac, 100*wl.StoreFrac, wl.PrivateBlocks, 100*wl.MigratoryFrac)
@@ -82,12 +86,12 @@ func table3() {
 func complexityJSON() {
 	doc := map[string]interface{}{
 		"directory": map[string]interface{}{
-			"full": specsimp.DirectoryComplexity(specsimp.DirFull),
-			"spec": specsimp.DirectoryComplexity(specsimp.DirSpec),
+			"full": directory.ComplexityOf(directory.Full),
+			"spec": directory.ComplexityOf(directory.Spec),
 		},
 		"snooping": map[string]interface{}{
-			"full": specsimp.SnoopComplexity(specsimp.SnFull),
-			"spec": specsimp.SnoopComplexity(specsimp.SnSpec),
+			"full": snoop.ComplexityOf(snoop.Full),
+			"spec": snoop.ComplexityOf(snoop.Spec),
 		},
 	}
 	enc := json.NewEncoder(os.Stdout)
@@ -100,8 +104,8 @@ func complexityJSON() {
 func complexity() {
 	fmt.Println("Controller complexity: full vs speculatively simplified (ablation A1)")
 	fmt.Println()
-	df := specsimp.DirectoryComplexity(specsimp.DirFull)
-	ds := specsimp.DirectoryComplexity(specsimp.DirSpec)
+	df := directory.ComplexityOf(directory.Full)
+	ds := directory.ComplexityOf(directory.Spec)
 	fmt.Printf("directory protocol:\n")
 	fmt.Printf("  full: %2d cache states, %2d cache transitions, %2d dir transitions, %2d message kinds\n",
 		df.CacheStates, df.CacheTransitions, df.DirTransitions, df.MessageKinds)
@@ -110,8 +114,8 @@ func complexity() {
 	fmt.Printf("  => speculation removes %d states, %d transitions, %d message kinds\n\n",
 		df.CacheStates-ds.CacheStates, df.CacheTransitions-ds.CacheTransitions, df.MessageKinds-ds.MessageKinds)
 
-	sf := specsimp.SnoopComplexity(specsimp.SnFull)
-	ss := specsimp.SnoopComplexity(specsimp.SnSpec)
+	sf := snoop.ComplexityOf(snoop.Full)
+	ss := snoop.ComplexityOf(snoop.Spec)
 	fmt.Printf("snooping protocol:\n")
 	fmt.Printf("  full: %2d states, %2d transitions\n", sf.States, sf.Transitions)
 	fmt.Printf("  spec: %2d states, %2d transitions\n", ss.States, ss.Transitions)

@@ -10,15 +10,18 @@ package main
 import (
 	"fmt"
 
-	"specsimp"
+	"specsimp/internal/network"
+	"specsimp/internal/sim"
+	"specsimp/internal/system"
+	"specsimp/internal/workload"
 )
 
 func part1() {
 	fmt.Println("Part 1 — deadlock without virtual channels (Figures 2 & 3)")
-	k := specsimp.NewKernel()
-	net := specsimp.NewNetwork(k, specsimp.SimplifiedNetConfig(4, 4, 1.0, 1))
+	k := sim.NewKernel()
+	net := network.New(k, network.SimplifiedConfig(4, 4, 1.0, 1))
 	for i := 0; i < 16; i++ {
-		net.AttachClient(specsimp.NetNodeID(i), specsimp.NetClientFunc(func(m *specsimp.NetMessage) bool {
+		net.AttachClient(network.NodeID(i), network.ClientFunc(func(m *network.Message) bool {
 			return true
 		}))
 	}
@@ -30,8 +33,8 @@ func part1() {
 			if s == d {
 				continue
 			}
-			m := net.AllocMessage()
-			m.Src, m.Dst, m.VNet, m.Size = specsimp.NetNodeID(s), specsimp.NetNodeID(d), 0, 72
+			m := net.AllocMessage(network.NodeID(s))
+			m.Src, m.Dst, m.VNet, m.Size = network.NodeID(s), network.NodeID(d), 0, 72
 			net.Send(m)
 			n++
 		}
@@ -47,12 +50,12 @@ func part1() {
 
 func part2() {
 	fmt.Println("Part 2 — the system recovers from interconnect deadlock (§4)")
-	cfg := specsimp.DefaultConfig(specsimp.DirectorySpec, specsimp.Hotspot)
-	cfg.Net = specsimp.SimplifiedNetConfig(4, 4, 0.2, 2) // deadlock-prone
+	cfg := system.DefaultConfig(system.DirectorySpec, workload.Hotspot)
+	cfg.Net = network.SimplifiedConfig(4, 4, 0.2, 2) // deadlock-prone
 	cfg.CheckpointInterval = 20_000
 	cfg.TimeoutCycles = 3 * cfg.CheckpointInterval // paper: 3 intervals
 	cfg.SlowStartWindow = 60_000
-	r := specsimp.RunOne(cfg, 3_000_000)
+	r := system.RunOne(cfg, 3_000_000)
 	fmt.Printf("  instructions retired: %d (perf %.4f)\n", r.Instructions, r.Perf)
 	fmt.Printf("  deadlock timeouts detected: %d\n", r.Timeouts)
 	fmt.Printf("  recoveries performed:       %d  %v\n", r.Recoveries, r.RecoveryReasons)

@@ -13,11 +13,13 @@ package main
 import (
 	"fmt"
 
-	"specsimp"
+	"specsimp/internal/directory"
+	"specsimp/internal/system"
+	"specsimp/internal/workload"
 )
 
-func run(kind specsimp.Kind) specsimp.Results {
-	cfg := specsimp.DefaultConfig(kind, specsimp.Hotspot)
+func run(kind system.Kind) system.Results {
+	cfg := system.DefaultConfig(kind, workload.Hotspot)
 	cfg.CheckpointInterval = 5_000
 	cfg.ReorderInjectProb = 0.25
 	cfg.ReorderInjectDelay = 3_000
@@ -26,14 +28,14 @@ func run(kind specsimp.Kind) specsimp.Results {
 	// Tiny caches keep writebacks (and thus the race window) frequent.
 	cfg.L2Bytes, cfg.L2Ways = 16*64, 2
 	cfg.L1Bytes, cfg.L1Ways = 2*64, 1
-	return specsimp.RunOne(cfg, 2_000_000)
+	return system.RunOne(cfg, 2_000_000)
 }
 
 func main() {
 	fmt.Println("§3.1 end to end, with reordering amplified 10,000x over nature:")
 	fmt.Println()
 
-	spec := run(specsimp.DirectorySpec)
+	spec := run(system.DirectorySpec)
 	fmt.Println("speculatively simplified directory protocol:")
 	fmt.Printf("  writeback/forward races hit:  %d\n", spec.WBRaces)
 	fmt.Printf("  ordering violations detected: %d\n", spec.OrderViolations)
@@ -42,16 +44,15 @@ func main() {
 	fmt.Printf("  instructions retired:         %d (perf %.4f)\n", spec.Instructions, spec.Perf)
 	fmt.Println()
 
-	full := run(specsimp.DirectoryFull)
+	full := run(system.DirectoryFull)
 	fmt.Println("full directory protocol (same storm):")
 	fmt.Printf("  writeback/forward races hit:  %d (handled by II_F & friends)\n", full.WBRaces)
 	fmt.Printf("  recoveries performed:         %d\n", full.Recoveries)
 	fmt.Printf("  instructions retired:         %d (perf %.4f)\n", full.Instructions, full.Perf)
 	fmt.Println()
+	df, ds := directory.ComplexityOf(directory.Full), directory.ComplexityOf(directory.Spec)
 	fmt.Printf("Complexity price of the full protocol: +%d cache states, +%d transitions, +%d message kinds.\n",
-		specsimp.DirectoryComplexity(specsimp.DirFull).CacheStates-specsimp.DirectoryComplexity(specsimp.DirSpec).CacheStates,
-		specsimp.DirectoryComplexity(specsimp.DirFull).CacheTransitions-specsimp.DirectoryComplexity(specsimp.DirSpec).CacheTransitions,
-		specsimp.DirectoryComplexity(specsimp.DirFull).MessageKinds-specsimp.DirectoryComplexity(specsimp.DirSpec).MessageKinds)
+		df.CacheStates-ds.CacheStates, df.CacheTransitions-ds.CacheTransitions, df.MessageKinds-ds.MessageKinds)
 	fmt.Println("At natural reorder rates (see EXPERIMENTS.md R1) the speculative")
 	fmt.Println("protocol recovers essentially never — speculation buys the")
 	fmt.Println("simplicity for free.")

@@ -8,20 +8,22 @@ package main
 import (
 	"fmt"
 
-	"specsimp"
+	"specsimp/internal/core"
+	"specsimp/internal/system"
+	"specsimp/internal/workload"
 )
 
 func main() {
 	fmt.Println("speculation-for-simplicity framework (paper Table 1):")
-	fmt.Println(specsimp.Table1())
+	fmt.Println(core.Table1())
 
-	cfg := specsimp.DefaultConfig(specsimp.DirectorySpec, specsimp.OLTP)
+	cfg := system.DefaultConfig(system.DirectorySpec, workload.OLTP)
 	fmt.Println("target system (paper Table 2):")
-	fmt.Println(specsimp.Table2(cfg))
+	fmt.Println(system.Table2(cfg))
 
 	const cycles = 1_000_000
 	fmt.Printf("running %s on %s for %d cycles...\n\n", cfg.Kind, cfg.Workload.Name, cycles)
-	r := specsimp.RunOne(cfg, cycles)
+	r := system.RunOne(cfg, cycles)
 
 	fmt.Printf("instructions retired:  %d\n", r.Instructions)
 	fmt.Printf("performance (IPC):     %.3f aggregate\n", r.Perf)

@@ -8,27 +8,28 @@ package main
 import (
 	"fmt"
 
-	"specsimp"
+	"specsimp/internal/network"
+	"specsimp/internal/sim"
 )
 
-func run(name string, cfg specsimp.NetConfig, disableAdaptive bool) {
-	k := specsimp.NewKernel()
-	net := specsimp.NewNetwork(k, cfg)
+func run(name string, cfg network.Config, disableAdaptive bool) {
+	k := sim.NewKernel()
+	net := network.New(k, cfg)
 	net.SetAdaptiveDisabled(disableAdaptive)
 
 	fmt.Printf("--- %s ---\n", name)
-	net.TraceFn = func(ev specsimp.NetTraceEvent) {
-		switch ev.Kind.String() {
-		case "inject":
+	net.TraceFn = func(ev network.TraceEvent) {
+		switch ev.Kind {
+		case network.TraceInject:
 			fmt.Printf("  t=%5d  node %2d injects  M%d\n", ev.At, ev.Node, ev.Msg.Seq+1)
-		case "forward":
-			fmt.Printf("  t=%5d  node %2d forwards M%d %s\n", ev.At, ev.Node, ev.Msg.Seq+1, specsimp.PortName(ev.Dir))
+		case network.TraceForward:
+			fmt.Printf("  t=%5d  node %2d forwards M%d %s\n", ev.At, ev.Node, ev.Msg.Seq+1, network.PortName(ev.Dir))
 		default:
 			fmt.Printf("  t=%5d  node %2d DELIVERS M%d (sent t=%d)\n", ev.At, ev.Node, ev.Msg.Seq+1, ev.Msg.SentAt)
 		}
 	}
 	var order []uint64
-	net.AttachClient(5, specsimp.NetClientFunc(func(m *specsimp.NetMessage) bool {
+	net.AttachClient(5, network.ClientFunc(func(m *network.Message) bool {
 		order = append(order, m.Seq)
 		return true
 	}))
@@ -36,7 +37,7 @@ func run(name string, cfg specsimp.NetConfig, disableAdaptive bool) {
 	// Figure 1: the NW switch (node 0) sends M1 then M2 to the SE
 	// switch (node 5). M1 is large and hogs the eastward link.
 	send := func(size int) {
-		m := net.AllocMessage()
+		m := net.AllocMessage(0)
 		m.Src, m.Dst, m.VNet, m.Size = 0, 5, 1, size
 		net.Send(m)
 	}
@@ -55,8 +56,8 @@ func run(name string, cfg specsimp.NetConfig, disableAdaptive bool) {
 func main() {
 	fmt.Println("Figure 1: violating point-to-point order with adaptive routing")
 	fmt.Println()
-	run("adaptive routing (paper §3.1 network)", specsimp.AdaptiveNetConfig(4, 4, 1.0), false)
-	run("static dimension-order routing", specsimp.AdaptiveNetConfig(4, 4, 1.0), true)
+	run("adaptive routing (paper §3.1 network)", network.AdaptiveConfig(4, 4, 1.0), false)
+	run("static dimension-order routing", network.AdaptiveConfig(4, 4, 1.0), true)
 	fmt.Println("The §3.1 speculative directory protocol relies on the order that")
 	fmt.Println("adaptive routing just violated; it detects the violation as one")
 	fmt.Println("invalid controller transition and recovers with SafetyNet.")

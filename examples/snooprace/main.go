@@ -14,28 +14,31 @@ package main
 import (
 	"fmt"
 
-	"specsimp"
+	"specsimp/internal/coherence"
+	"specsimp/internal/network"
+	"specsimp/internal/sim"
+	"specsimp/internal/snoop"
 )
 
-const blkA = specsimp.Addr(0)
+const blkA = coherence.Addr(0)
 
 // stage drives the race: node 1 owns block A in M; nodes 2 and 3 issue
 // stores whose GetMs are ordered on the bus ahead of node 1's PutM.
-func stage(v specsimp.SnoopVariant) (*specsimp.Kernel, *specsimp.SnoopProtocol, *int) {
-	k := specsimp.NewKernel()
-	data := specsimp.NewNetwork(k, specsimp.SafeStaticConfig(2, 2, 0.8))
-	bus := specsimp.NewBus(k, specsimp.DefaultBusConfig(4))
-	p := specsimp.NewSnoopProtocol(k, bus, data, specsimp.DefaultSnoopConfig(4, v))
+func stage(v snoop.Variant) (*sim.Kernel, *snoop.Protocol, *int) {
+	k := sim.NewKernel()
+	data := network.New(k, network.SafeStaticConfig(2, 2, 0.8))
+	bus := snoop.NewBus(k, snoop.DefaultBusConfig(4))
+	p := snoop.New(k, bus, data, snoop.DefaultConfig(4, v), nil)
 
 	done := new(int)
 	ownerReady := false
-	p.Access(1, blkA, specsimp.Store, func() { ownerReady = true })
+	p.Access(1, blkA, coherence.Store, func() { ownerReady = true })
 	k.Drain(1_000_000)
 	if !ownerReady {
 		panic("setup failed")
 	}
-	p.Access(2, blkA, specsimp.Store, func() { *done++ })
-	p.Access(3, blkA, specsimp.Store, func() { *done++ })
+	p.Access(2, blkA, coherence.Store, func() { *done++ })
+	p.Access(3, blkA, coherence.Store, func() { *done++ })
 	k.Run(k.Now() + 1)
 	if !p.Flush(1, blkA) { // PutM submitted behind both GetMs
 		panic("flush refused")
@@ -49,7 +52,7 @@ func main() {
 	fmt.Println()
 
 	fmt.Println("full protocol (corner case specified):")
-	k, p, done := stage(specsimp.SnFull)
+	k, p, done := stage(snoop.Full)
 	k.Drain(1_000_000)
 	fmt.Printf("  both racing stores completed: %v (completions=%d)\n", *done == 2, *done)
 	fmt.Printf("  corner case exercised %d time(s), handled in place\n", p.Stats().CornerHandled.Value())
@@ -57,8 +60,8 @@ func main() {
 		p.CacheState(3, blkA), p.BlockVersion(blkA))
 
 	fmt.Println("speculative protocol (corner case unspecified -> mis-speculation):")
-	k, p, _ = stage(specsimp.SnSpec)
-	p.OnMisSpeculation = func(_ specsimp.NodeID, reason string) {
+	k, p, _ = stage(snoop.Spec)
+	p.OnMisSpeculation = func(_ coherence.NodeID, reason string) {
 		fmt.Printf("  MIS-SPECULATION detected: %q -> SafetyNet recovery + slow-start\n", reason)
 		p.ResetTransients()
 		p.Bus().Reset()

@@ -290,6 +290,11 @@ func TestBuildPlanValidation(t *testing.T) {
 		{"bad shard count", `{"run_id": "x", "shards": "zero", "experiments": [{"name": "fig5"}]}`, "-shards"},
 		{"non-dividing shards", `{"run_id": "x", "shards": "3x5", "experiments": [{"name": "fig5"}]}`, "does not divide"},
 		{"negative repeats", `{"run_id": "x", "repeats": -1, "experiments": [{"name": "fig5"}]}`, "repeats"},
+		{"negative parallel", `{"run_id": "x", "parallel": -3, "experiments": [{"name": "fig5"}]}`, "parallel must be 0 (GOMAXPROCS) or more (got -3)"},
+		{"negative clock", `{"run_id": "x", "cycles_per_second": -7, "experiments": [{"name": "fig4"}]}`, "cycles_per_second must be 0 (the base clock) or a positive whole multiple of 100 (got -7)"},
+		// 50 cycles per second would run fig4's 100/s column with no
+		// injection at all (50/100 rounds to 0) under the 100/s label.
+		{"clock off the rate step", `{"run_id": "x", "cycles_per_second": 50, "experiments": [{"name": "fig4"}]}`, "cycles_per_second must be 0 (the base clock) or a positive whole multiple of 100 (got 50)"},
 		// 20 design points × 10,000 repeats is twice the plan limit.
 		{"too many points", `{"run_id": "x", "repeats": 10000, "experiments": [{"name": "fig4"}]}`, `experiment "fig4": 20 design points × 10000 repeats`},
 		// Each numeric axis accepts only the range its model simulates
@@ -320,7 +325,7 @@ func TestBuildPlanValidation(t *testing.T) {
 		})
 	}
 	// The smallest value of each range still builds.
-	buildPlan(t, `{"run_id": "x", "experiments": [
+	buildPlan(t, `{"run_id": "x", "parallel": 0, "cycles_per_second": 100, "experiments": [
   {"name": "reorder", "axes": {"bw": [1e-9]}},
   {"name": "buffers", "axes": {"bufsize": [0]}},
   {"name": "slowstart", "axes": {"limit": [1]}},

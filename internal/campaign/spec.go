@@ -19,6 +19,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -212,11 +213,19 @@ func (p Plan) Points() int {
 // is an error, not an out-of-memory kill.
 const maxPlanPoints = 100_000
 
+// clockQuantum is the step of a spec's cycles_per_second: 100, the
+// largest experiments.Fig4Rates entry and a multiple of the others. A
+// rate-based point injects every CyclesPerSecond/rate cycles, so any
+// other clock rounds some rate's interval down (below 100 cycles, to
+// no injection at all) while its rows keep the rate's label.
+const clockQuantum = 100
+
 // BuildPlan validates a spec against the experiment registry and
 // materializes every grid. All failures are descriptive errors — an
 // unknown experiment, a duplicate experiment (its artifacts would
-// share one CSV), a malformed axis value, a shard shape that can never
-// tile a machine, a plan over maxPlanPoints points — never panics.
+// share one CSV), a negative parallel, a clock off the clockQuantum
+// step, a malformed axis value, a shard shape that can never tile a
+// machine, a plan over maxPlanPoints points — never panics.
 func BuildPlan(spec Spec) (Plan, error) {
 	if len(spec.Experiments) == 0 {
 		return Plan{}, fmt.Errorf("campaign spec lists no experiments (registered: %s)",
@@ -227,6 +236,12 @@ func BuildPlan(spec Spec) (Plan, error) {
 	}
 	if spec.Repeats < 0 {
 		return Plan{}, fmt.Errorf("campaign spec: repeats must be >= 1 (got %d)", spec.Repeats)
+	}
+	if spec.Parallel < 0 {
+		return Plan{}, fmt.Errorf("campaign spec: parallel must be 0 (GOMAXPROCS) or more (got %d)", spec.Parallel)
+	}
+	if c := spec.CyclesPerSecond; c < 0 || math.Mod(c, clockQuantum) != 0 {
+		return Plan{}, fmt.Errorf("campaign spec: cycles_per_second must be 0 (the base clock) or a positive whole multiple of %d (got %g)", clockQuantum, c)
 	}
 	base := experiments.Standard()
 	if spec.Quick {

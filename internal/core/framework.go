@@ -35,13 +35,12 @@ type Characterization struct {
 	Result          string
 }
 
-// Speculation is one application of speculation for simplicity.
-type Speculation interface {
-	// Name identifies the speculation ("p2p-ordering", "snoop-corner",
-	// "no-vc-deadlock").
-	Name() string
-	// Characterize returns the Table 1 row for this design.
-	Characterize() Characterization
+// Speculation is one application of speculation for simplicity: its
+// name ("p2p-ordering", "snoop-corner", "no-vc-deadlock") and its
+// Table 1 row.
+type Speculation struct {
+	Name string
+	Characterization
 }
 
 // The three applications of the paper, as described by Table 1.
@@ -49,9 +48,9 @@ var (
 	// P2POrdering is §3.1: simplify a directory protocol by speculating
 	// that the adaptively routed interconnect preserves point-to-point
 	// ordering.
-	P2POrdering = StaticSpeculation{
-		N: "p2p-ordering",
-		C: Characterization{
+	P2POrdering = Speculation{
+		Name: "p2p-ordering",
+		Characterization: Characterization{
 			Application:     "Simplify directory protocol by speculating on point-to-point ordering (§3.1)",
 			Infrequency:     "re-orderings are rare and most re-orderings do not matter",
 			Detection:       "one specific invalid transition in protocol controller",
@@ -62,9 +61,9 @@ var (
 	}
 	// SnoopCorner is §3.2: treat a rare snooping-protocol transition as
 	// a mis-speculation instead of specifying it.
-	SnoopCorner = StaticSpeculation{
-		N: "snoop-corner",
-		C: Characterization{
+	SnoopCorner = Speculation{
+		Name: "snoop-corner",
+		Characterization: Characterization{
 			Application:     "Simplify snooping protocol by treating corner case transition as error (§3.2)",
 			Infrequency:     "writebacks do not often race with requests to write the block",
 			Detection:       "one specific invalid transition in protocol controller",
@@ -75,9 +74,9 @@ var (
 	}
 	// NoVCDeadlock is §4: remove virtual channel flow control and
 	// recover from the resulting (rare) deadlocks.
-	NoVCDeadlock = StaticSpeculation{
-		N: "no-vc-deadlock",
-		C: Characterization{
+	NoVCDeadlock = Speculation{
+		Name: "no-vc-deadlock",
+		Characterization: Characterization{
 			Application:     "Simplify interconnection network by removing virtual channel flow control (§4)",
 			Infrequency:     "worst-case buffering requirements are rarely needed in practice",
 			Detection:       "timeout on cache coherence transaction",
@@ -88,21 +87,9 @@ var (
 	}
 )
 
-// StaticSpeculation is a Speculation described by fixed text.
-type StaticSpeculation struct {
-	N string
-	C Characterization
-}
-
-// Name implements Speculation.
-func (s StaticSpeculation) Name() string { return s.N }
-
-// Characterize implements Speculation.
-func (s StaticSpeculation) Characterize() Characterization { return s.C }
-
-// Table1 renders the framework characterization of the given designs in
-// the layout of the paper's Table 1.
-func Table1(specs ...Speculation) string {
+// Table1 renders the framework characterization of the paper's three
+// designs in the layout of the paper's Table 1.
+func Table1() string {
 	t := stats.NewTable("Feature", "Design", "Characterization")
 	rows := []struct {
 		f   string
@@ -114,11 +101,10 @@ func Table1(specs ...Speculation) string {
 		{"(4) Forward Progress", func(c Characterization) string { return c.ForwardProgress }},
 		{"Result", func(c Characterization) string { return c.Result }},
 	}
-	for _, s := range specs {
-		c := s.Characterize()
-		t.AddRow("Application", s.Name(), c.Application)
+	for _, s := range []Speculation{P2POrdering, SnoopCorner, NoVCDeadlock} {
+		t.AddRow("Application", s.Name, s.Application)
 		for _, r := range rows {
-			t.AddRow(r.f, s.Name(), r.get(c))
+			t.AddRow(r.f, s.Name, r.get(s.Characterization))
 		}
 	}
 	return t.String()

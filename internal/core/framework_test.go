@@ -9,7 +9,17 @@ import (
 )
 
 func TestTable1Characterization(t *testing.T) {
-	out := Table1(P2POrdering, SnoopCorner, NoVCDeadlock)
+	// Each design fills every framework feature, and each recovers
+	// with SafetyNet.
+	for _, s := range []Speculation{P2POrdering, SnoopCorner, NoVCDeadlock} {
+		if s.Recovery != "SafetyNet" {
+			t.Errorf("%s: recovery %q", s.Name, s.Recovery)
+		}
+		if s.Application == "" || s.Infrequency == "" || s.Detection == "" || s.ForwardProgress == "" || s.Result == "" {
+			t.Errorf("%s: incomplete characterization %+v", s.Name, s.Characterization)
+		}
+	}
+	out := Table1()
 	for _, want := range []string{
 		"p2p-ordering", "snoop-corner", "no-vc-deadlock",
 		"SafetyNet",

@@ -275,7 +275,7 @@ func TestWatchdogQuietOnHealthyRun(t *testing.T) {
 	net := network.New(k, network.SafeStaticConfig(4, 4, 0.8))
 	cfg := DefaultConfig(16, Spec)
 	cfg.TimeoutCycles = 100_000
-	p := New(k, net, cfg, nil)
+	p := mustNew(t, k, net, cfg)
 	p.OnMisSpeculation = func(_ coherence.NodeID, r string) { t.Fatalf("unexpected mis-speculation: %s", r) }
 	var scan func()
 	scan = func() {

@@ -99,12 +99,23 @@ func tinyConfig(v Variant) Config {
 	return c
 }
 
+// mustNew builds a protocol whose configuration the test knows to be
+// valid.
+func mustNew(t *testing.T, k *sim.Kernel, net network.Fabric, cfg Config) *Protocol {
+	t.Helper()
+	p, err := NewChecked(k, net, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 // scripted builds a protocol over a test fabric.
 func scripted(t *testing.T, v Variant) (*sim.Kernel, *testFabric, *Protocol) {
 	t.Helper()
 	k := sim.NewKernel()
 	f := newTestFabric(k, 4)
-	p := New(k, f, tinyConfig(v), nil)
+	p := mustNew(t, k, f, tinyConfig(v))
 	return k, f, p
 }
 

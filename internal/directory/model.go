@@ -139,7 +139,11 @@ func NewModel(sc Scenario, v Variant) func() explore.Model {
 
 func (m *dirModel) Reset() {
 	m.Begin()
-	m.p = New(m.Kernel, &m.Data, m.pcfg, nil)
+	p, err := NewChecked(m.Kernel, &m.Data, m.pcfg, nil)
+	if err != nil {
+		panic(err) // the scenario tables hold only valid configurations
+	}
+	m.p = p
 	m.p.OnMisSpeculation = func(_ coherence.NodeID, reason string) { m.Detect(reason) }
 	m.Start(m.p, &m.p.Stats().WBRaces)
 }

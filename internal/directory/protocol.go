@@ -97,23 +97,10 @@ type Protocol struct {
 	sts []Stats
 }
 
-// New builds the protocol over an existing network fabric; the fabric's
-// clients for all nodes are claimed by the protocol. It panics on an
-// invalid configuration; callers that want oversize machines reported
-// as errors (before kernels and networks exist) use NewChecked, or
-// validate Config up front as system.BuildChecked does.
-func New(k *sim.Kernel, net network.Fabric, cfg Config, log mem.UndoLogger) *Protocol {
-	p, err := NewChecked(k, net, cfg, log)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
-// NewChecked is New with configuration errors returned instead of
-// panicking: a node count the configured sharer-set format cannot
-// represent (e.g. more than 64 nodes on a full bitmap) is a config
-// error, not a crash.
+// NewChecked builds the protocol over an existing network fabric; the
+// fabric's clients for all nodes are claimed by the protocol. A
+// configuration the fabric or the sharer-set format cannot represent
+// (e.g. more than 64 nodes on a full bitmap) is an error, not a crash.
 func NewChecked(k *sim.Kernel, net network.Fabric, cfg Config, log mem.UndoLogger) (*Protocol, error) {
 	if cfg.Nodes != net.NumNodes() {
 		return nil, fmt.Errorf("directory: %d nodes differ from network size %d", cfg.Nodes, net.NumNodes())
@@ -230,7 +217,7 @@ func (p *Protocol) send(m coherence.Msg, to coherence.NodeID) {
 // pool) or a recovery drops it (the box is simply garbage collected and
 // the pool refills).
 func (p *Protocol) sendPooled(cm *coherence.Msg, to coherence.NodeID) {
-	nm := network.AllocFor(p.net, network.NodeID(cm.From))
+	nm := network.Alloc(p.net, network.NodeID(cm.From))
 	nm.Src = network.NodeID(cm.From)
 	nm.Dst = network.NodeID(to)
 	nm.VNet = coherence.VNetOf(cm.Kind)

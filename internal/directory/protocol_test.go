@@ -369,7 +369,7 @@ func TestTimeoutWatchdogDetectsStuckTransaction(t *testing.T) {
 	cfg.TimeoutCycles = 10_000
 	// The test fabric holds every message until the test delivers it,
 	// and this test delivers nothing.
-	p := New(k, newTestFabric(k, 4), cfg, nil)
+	p := mustNew(t, k, newTestFabric(k, 4), cfg)
 	p.Access(1, blkA, coherence.Store, func() {})
 	k.Run(5_000)
 	if node, ok := p.TimeoutScan(); ok {

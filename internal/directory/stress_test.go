@@ -28,7 +28,7 @@ func runStress(t *testing.T, v Variant, netCfg network.Config, seed uint64, opsP
 	// Small caches force evictions and writebacks.
 	cfg.L2Bytes, cfg.L2Ways = 8*64, 2
 	cfg.L1Bytes, cfg.L1Ways = 2*64, 1
-	p := New(k, net, cfg, nil)
+	p := mustNew(t, k, net, cfg)
 
 	res := stressResult{p: p, stores: make(map[coherence.Addr]int)}
 	blocks := make([]coherence.Addr, nblocks)

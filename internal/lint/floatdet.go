@@ -9,10 +9,9 @@ import (
 
 // floatdetScope lists the packages (by path segment) whose merge
 // functions combine per-shard or per-worker results. Those merges
-// must be exact — integer counters, stats.IntSample, integer-summed
-// histograms — because floating-point accumulation is
-// order-sensitive and the partition into shards/workers is exactly
-// what varies.
+// must be exact — integer counters, stats.IntSample — because
+// floating-point accumulation is order-sensitive and the partition
+// into shards/workers is exactly what varies.
 var floatdetScope = []string{
 	"sim", "network", "directory", "snoop", "processor", "system",
 	"safetynet", "stats", "runner", "explore",
@@ -30,8 +29,8 @@ var FloatDet = &Analyzer{
 
 Floating-point addition is not associative: merging shard results
 through float += or stats.Sample.Observe makes the totals depend on
-the shard count. Merge paths use exact integer state (stats.IntSample,
-integer-summed histograms) so every partition yields identical bytes.`,
+the shard count. Merge paths use exact integer state (integer counters,
+stats.IntSample) so every partition yields identical bytes.`,
 	Run: runFloatDet,
 }
 

@@ -11,7 +11,7 @@ import (
 // The unexported entries are already unreachable from other packages;
 // they are listed so the contract survives a future export.
 var pooledTypes = map[string]bool{
-	"network.Message":    true, // network free list, AllocMessage/AllocMessageFor
+	"network.Message":    true, // network free list, Alloc/AllocMessage
 	"coherence.Msg":      true, // protocol payload boxes, per-shard pools
 	"directory.tbe":      true,
 	"directory.busyInfo": true,

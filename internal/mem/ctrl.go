@@ -19,7 +19,7 @@ type Counters struct {
 	L1Hits, L2Hits   stats.Counter
 	Transactions     stats.Counter
 	Writebacks       stats.Counter
-	MissLatency      stats.Histogram
+	MissLatency      stats.IntSample
 	TimeoutsDetected stats.Counter
 }
 
@@ -31,7 +31,7 @@ func (c *Counters) Merge(o *Counters) {
 	c.L2Hits.Add(o.L2Hits.Value())
 	c.Transactions.Add(o.Transactions.Value())
 	c.Writebacks.Add(o.Writebacks.Value())
-	c.MissLatency.Merge(&o.MissLatency)
+	c.MissLatency.Merge(o.MissLatency)
 	c.TimeoutsDetected.Add(o.TimeoutsDetected.Value())
 }
 

@@ -102,10 +102,6 @@ type Config struct {
 	// EndpointBufferSize is the per-class capacity of each node's
 	// ingress queue. 0 means unlimited.
 	EndpointBufferSize int
-
-	// EjectRate is the number of messages an endpoint may consume per
-	// cycle. 0 defaults to 1.
-	EjectRate int
 }
 
 // NumNodes returns Width*Height.

@@ -51,40 +51,24 @@ type Fabric interface {
 }
 
 // MessageAllocator is implemented by fabrics that recycle message
-// structs through a free list (*Network does). Senders that use Alloc
-// avoid one allocation per message; the fabric reclaims the struct when
-// the destination client consumes it or a recovery drops it, so callers
-// must not retain the pointer past delivery.
+// structs through per-shard free lists (*Network does). Senders that
+// use Alloc avoid one allocation per message; the fabric reclaims the
+// struct when the destination client consumes it or a recovery drops
+// it, so callers must not retain the pointer past delivery.
 type MessageAllocator interface {
-	AllocMessage() *Message
+	AllocMessage(src NodeID) *Message
 }
 
-// ShardedAllocator is implemented by fabrics whose free lists are
-// striped per shard (*Network is); senders that know their source node
-// allocate from the owning shard's list so sharded hot paths stay both
-// race-free and allocation-free.
-type ShardedAllocator interface {
-	AllocMessageFor(src NodeID) *Message
-}
-
-// Alloc returns a message from f's free list when f recycles messages,
-// or a fresh message otherwise. The hot-path senders (the coherence
-// protocols) allocate through this so that scripted test fabrics keep
-// working unchanged.
-func Alloc(f Fabric) *Message {
+// Alloc returns a message for a send from src: from the free list of
+// src's shard when f recycles messages (so sharded hot paths stay both
+// race-free and allocation-free), or a fresh message otherwise. The
+// coherence protocols allocate through this so that scripted test
+// fabrics keep working unchanged.
+func Alloc(f Fabric, src NodeID) *Message {
 	if a, ok := f.(MessageAllocator); ok {
-		return a.AllocMessage()
+		return a.AllocMessage(src)
 	}
 	return &Message{}
-}
-
-// AllocFor is Alloc for senders that know the source node; on sharded
-// fabrics the message comes from that node's shard's free list.
-func AllocFor(f Fabric, src NodeID) *Message {
-	if a, ok := f.(ShardedAllocator); ok {
-		return a.AllocMessageFor(src)
-	}
-	return Alloc(f)
 }
 
 // Client consumes messages delivered to a node. Deliver is offered the

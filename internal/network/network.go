@@ -82,8 +82,8 @@ type Network struct {
 }
 
 // NetStats aggregates network measurements. Every field merges with
-// exact integer arithmetic (counters, histogram buckets, IntSample
-// sums), which is what lets per-shard stats aggregate to bit-identical
+// exact integer arithmetic (counters, IntSample counts and sums, busy
+// cycles), which is what lets per-shard stats aggregate to bit-identical
 // totals regardless of how the torus was partitioned.
 type NetStats struct {
 	Sent        stats.Counter
@@ -93,7 +93,7 @@ type NetStats struct {
 	Reordered   []stats.Counter
 	PerVNet     []stats.Counter
 	Deflections stats.Counter // unproductive hops taken under Deflection
-	Latency     stats.Histogram
+	Latency     stats.IntSample
 	Hops        stats.IntSample
 
 	linkUtil [][numPorts]stats.Utilization
@@ -110,7 +110,7 @@ func (s *NetStats) merge(o *NetStats) {
 		s.Reordered[v].Add(o.Reordered[v].Value())
 		s.PerVNet[v].Add(o.PerVNet[v].Value())
 	}
-	s.Latency.Merge(&o.Latency)
+	s.Latency.Merge(o.Latency)
 	s.Hops.Merge(o.Hops)
 	for i := range s.linkUtil {
 		for d := 0; d < numPorts; d++ {
@@ -476,22 +476,13 @@ func (n *Network) InFlight() int {
 	return int(sent - consumed - dropped)
 }
 
-// AllocMessage returns a zeroed message from the network's free list
-// (implementing MessageAllocator). Messages obtained here are recycled
-// automatically once consumed by the destination client or dropped by a
-// recovery Reset; callers must not retain them past that point.
-// Sharded senders use AllocMessageFor so the struct comes from the
-// sending shard's list.
-func (n *Network) AllocMessage() *Message { return n.allocMsg(0) }
-
-// AllocMessageFor is AllocMessage drawing from the list of src's shard
-// (implementing ShardedAllocator).
-func (n *Network) AllocMessageFor(src NodeID) *Message {
-	return n.allocMsg(n.shardOf[src])
-}
-
-func (n *Network) allocMsg(shard int) *Message {
-	m := n.free[shard].Get()
+// AllocMessage returns a zeroed message from the free list of src's
+// shard (implementing MessageAllocator). Messages obtained here are
+// recycled automatically once consumed by the destination client or
+// dropped by a recovery Reset; callers must not retain them past that
+// point.
+func (n *Network) AllocMessage(src NodeID) *Message {
+	m := n.free[n.shardOf[src]].Get()
 	*m = Message{pooled: true}
 	return m
 }
@@ -1013,15 +1004,11 @@ func (e *endpoint) scheduleConsume() {
 
 func (e *endpoint) consume() {
 	n := e.n
-	rate := n.cfg.EjectRate
-	if rate <= 0 {
-		rate = 1
-	}
 	classes := len(e.ingress)
-	consumed := 0
 	epoch := n.epoch
-	// One pass over classes in rotating order, consuming up to rate.
-	for i := 0; i < classes && consumed < rate; i++ {
+	// Offer each class's head in rotating order: the first one the
+	// client accepts is the one message consumed this cycle.
+	for i := 0; i < classes; i++ {
 		c := (e.rr + i) % classes
 		m := e.ingress[c].head0()
 		if m == nil {
@@ -1040,20 +1027,16 @@ func (e *endpoint) consume() {
 		e.ingress[c].pop()
 		e.st.Consumed.Inc()
 		n.releaseMsg(e.shard, m)
-		consumed++
 		n.sw[e.node].scheduleArb() // ingress space freed
-	}
-	if consumed > 0 {
 		e.rr = (e.rr + 1) % classes
-	}
-	// If anything remains, try again next cycle (rate limit) — but only
-	// if we made progress; otherwise wait for an explicit Kick.
-	if consumed > 0 {
+		// If anything remains, try again next cycle. An endpoint that
+		// consumed nothing waits for an explicit Kick instead.
 		for c := range e.ingress {
 			if e.ingress[c].len() > 0 {
 				e.k.AfterEvent(1, e, epOpRetry, 0, nil)
 				break
 			}
 		}
+		return
 	}
 }

@@ -40,12 +40,16 @@ import (
 	"sync/atomic"
 )
 
-// Scheduler schedules a closure after a delay of simulated cycles. Both
-// *Kernel (serial systems) and *Shards (where closures must run at
-// window edges, not inside a shard's window) implement it; model code
-// that only needs delayed global actions takes a Scheduler so it works
-// under either execution mode.
+// Scheduler is the scheduling surface of global control: the current
+// time, and closures at an absolute time or after a delay. Both *Kernel
+// (the classic engine) and *Shards (the tile engine, where At and After
+// round up to the next window edge, so closures never run inside a
+// shard's window) implement it, and on either, events due in the same
+// cycle fire in the order they were scheduled. Model code that needs
+// global actions takes a Scheduler so it works under either engine.
 type Scheduler interface {
+	Now() Time
+	At(t Time, fn func())
 	After(d Time, fn func())
 }
 
@@ -246,9 +250,9 @@ func (g *Shards) Post(src, dst int, when Time, h Handler, a0, a1 uint64, p any) 
 // write only their own shard's.
 func (g *Shards) PreWindow(fn func(shard int)) { g.preWindow = append(g.preWindow, fn) }
 
-// At schedules fn to run single-threaded at the first window edge at or
-// after t. Call only from control context (hooks, other control
-// actions) or while no Run is in progress.
+// At implements Scheduler: fn runs single-threaded at the first window
+// edge at or after t. Call only from control context (hooks, other
+// control actions) or while no Run is in progress.
 func (g *Shards) At(t Time, fn func()) {
 	g.ctlPush(ctlAction{at: t, seq: g.ctlSeq, fn: fn})
 	g.ctlSeq++

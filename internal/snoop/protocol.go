@@ -62,7 +62,7 @@ type Protocol struct {
 }
 
 func (p *Protocol) sendPooled(cm *coherence.Msg, to coherence.NodeID) {
-	nm := network.Alloc(p.data)
+	nm := network.Alloc(p.data, network.NodeID(cm.From))
 	nm.Src = network.NodeID(cm.From)
 	nm.Dst = network.NodeID(to)
 	nm.VNet = 0

@@ -1,7 +1,7 @@
 // Package stats provides the measurement primitives the evaluation
 // harness uses: counters, samples with mean/stddev (the paper reports one
-// standard deviation as error bars, §5.2), histograms, and utilization
-// trackers for link-occupancy statistics.
+// standard deviation as error bars, §5.2), exact integer samples, and
+// utilization trackers for link-occupancy statistics.
 package stats
 
 import (
@@ -175,75 +175,6 @@ func (s IntSummary) Mean() float64 {
 		return 0
 	}
 	return float64(s.Sum) / float64(s.N)
-}
-
-// Histogram counts observations in power-of-two buckets, suitable for
-// latency distributions spanning several orders of magnitude. Its
-// moments come from an exact IntSample, so histograms merge without
-// order sensitivity (see Merge).
-type Histogram struct {
-	buckets [64]uint64
-	sample  IntSample
-}
-
-// Observe records a non-negative observation.
-func (h *Histogram) Observe(v uint64) {
-	h.sample.Observe(v)
-	h.buckets[log2Bucket(v)]++
-}
-
-// Merge folds another histogram into h; all state is exact counts and
-// sums, so the result is independent of how observations were split.
-func (h *Histogram) Merge(o *Histogram) {
-	for i := range h.buckets {
-		h.buckets[i] += o.buckets[i]
-	}
-	h.sample.Merge(o.sample)
-}
-
-func log2Bucket(v uint64) int {
-	b := 0
-	for v > 0 {
-		v >>= 1
-		b++
-	}
-	if b >= 64 {
-		b = 63
-	}
-	return b
-}
-
-// N returns the number of observations.
-func (h *Histogram) N() uint64 { return h.sample.N() }
-
-// Mean returns the mean observation.
-func (h *Histogram) Mean() float64 { return h.sample.Mean() }
-
-// Max returns the largest observation.
-func (h *Histogram) Max() float64 { return float64(h.sample.Max()) }
-
-// Percentile returns an upper bound on the p-th percentile (p in [0,1]),
-// at power-of-two bucket resolution.
-func (h *Histogram) Percentile(p float64) uint64 {
-	total := h.sample.N()
-	if total == 0 {
-		return 0
-	}
-	target := uint64(math.Ceil(p * float64(total)))
-	if target == 0 {
-		target = 1
-	}
-	var cum uint64
-	for i, c := range h.buckets {
-		cum += c
-		if cum >= target {
-			if i == 0 {
-				return 0
-			}
-			return 1<<uint(i) - 1
-		}
-	}
-	return math.MaxUint64
 }
 
 // Utilization integrates a busy/idle signal over simulated time.

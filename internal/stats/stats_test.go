@@ -52,38 +52,6 @@ func TestSampleEmptyAndSingle(t *testing.T) {
 	}
 }
 
-func TestHistogramPercentile(t *testing.T) {
-	var h Histogram
-	for i := uint64(1); i <= 1000; i++ {
-		h.Observe(i)
-	}
-	if h.N() != 1000 {
-		t.Fatalf("N=%d", h.N())
-	}
-	p50 := h.Percentile(0.5)
-	if p50 < 400 || p50 > 1100 {
-		t.Fatalf("p50=%d far from 500 at bucket resolution", p50)
-	}
-	p100 := h.Percentile(1.0)
-	if p100 < 1000 {
-		t.Fatalf("p100=%d below max", p100)
-	}
-	if h.Percentile(0) > 1 {
-		t.Fatalf("p0=%d", h.Percentile(0))
-	}
-}
-
-func TestHistogramZero(t *testing.T) {
-	var h Histogram
-	if h.Percentile(0.5) != 0 {
-		t.Fatal("empty histogram percentile != 0")
-	}
-	h.Observe(0)
-	if h.N() != 1 || h.Percentile(1) != 0 {
-		t.Fatal("zero observation mishandled")
-	}
-}
-
 func TestUtilization(t *testing.T) {
 	var u Utilization
 	u.SetBusy(0, true)
@@ -173,28 +141,6 @@ func TestSampleMeanProperty(t *testing.T) {
 	}
 }
 
-// Property: histogram percentile is monotone in p.
-func TestHistogramMonotoneProperty(t *testing.T) {
-	f := func(vals []uint16) bool {
-		var h Histogram
-		for _, v := range vals {
-			h.Observe(uint64(v))
-		}
-		prev := uint64(0)
-		for p := 0.1; p <= 1.0; p += 0.1 {
-			cur := h.Percentile(p)
-			if cur < prev {
-				return false
-			}
-			prev = cur
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestIntSampleMergeOrderIndependent pins the property sharded stats
 // aggregation relies on: any partition of an observation stream merges
 // to bit-identical state.
@@ -220,22 +166,5 @@ func TestIntSampleMergeOrderIndependent(t *testing.T) {
 	}
 	if whole.Mean() != 24.1 || whole.Min() != 0 || whole.Max() != 99 || whole.N() != 10 {
 		t.Fatalf("unexpected moments: %+v", whole)
-	}
-}
-
-// TestHistogramMerge checks bucket counts and moments merge exactly.
-func TestHistogramMerge(t *testing.T) {
-	var a, b, whole Histogram
-	for i := uint64(0); i < 100; i++ {
-		whole.Observe(i * i)
-		if i%3 == 0 {
-			a.Observe(i * i)
-		} else {
-			b.Observe(i * i)
-		}
-	}
-	a.Merge(&b)
-	if a != whole {
-		t.Fatalf("merged histogram differs from whole")
 	}
 }

@@ -38,8 +38,8 @@ func runSharded(t *testing.T, cfg Config, shards int, cycles sim.Time) Results {
 }
 
 // TestShardedResultsBitIdenticalAcrossCounts is the tentpole property:
-// the same run produces deep-equal Results — every counter, histogram-
-// derived float and recovery statistic — at 1, 2 and 4 shards, for both
+// the same run produces deep-equal Results — every counter, derived
+// float and recovery statistic — at 1, 2 and 4 shards, for both
 // directory variants, with recoveries, checkpoints, slow-start and the
 // watchdog all active.
 func TestShardedResultsBitIdenticalAcrossCounts(t *testing.T) {

@@ -3,6 +3,7 @@ package system
 import (
 	"testing"
 
+	"specsimp/internal/network"
 	"specsimp/internal/workload"
 )
 
@@ -86,11 +87,11 @@ func TestDeflectionSystemEndToEnd(t *testing.T) {
 	base.SlowStartWindow = 25_000
 
 	simp := base
-	simp.Net = simplifiedNet(2)
+	simp.Net = network.SimplifiedConfig(4, 4, 0.2, 2)
 	rs := RunOne(simp, 1_000_000)
 
 	defl := base
-	defl.Net = deflectionNet()
+	defl.Net = network.DeflectionConfig(4, 4, 0.2)
 	rd := RunOne(defl, 1_000_000)
 
 	if rs.Recoveries == 0 {

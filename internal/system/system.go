@@ -91,12 +91,10 @@ type Config struct {
 	// Sharers selects the directory entry's sharer-set representation
 	// for directory kinds. The zero value is the exact full bitmap,
 	// which caps the machine at 64 nodes; DefaultConfigSized picks a
-	// legal format from the geometry (limited-pointer beyond 64 nodes).
-	// SharerPointers and SharerClusterSize size the limited-pointer and
-	// coarse-vector formats (0 = their defaults).
-	Sharers           directory.SharerFormat
-	SharerPointers    int
-	SharerClusterSize int
+	// legal format from the geometry (limited-pointer beyond 64 nodes),
+	// each format at its default size (Dir_4_B pointers, the narrowest
+	// coarse-vector cluster that fits).
+	Sharers directory.SharerFormat
 
 	Workload workload.Profile
 	Seed     uint64
@@ -237,17 +235,6 @@ type protocol interface {
 	Counters() *mem.Counters
 }
 
-// control is the scheduling surface of all global control. *sim.Kernel
-// (the classic engine) and *sim.Shards (the tile engine's window-edge
-// control, where At and After round up to the next edge) both satisfy
-// it. Events due in the same cycle fire in the order they were
-// scheduled on either.
-type control interface {
-	Now() sim.Time
-	At(t sim.Time, fn func())
-	After(d sim.Time, fn func())
-}
-
 // System is a built machine bound to a kernel.
 type System struct {
 	Cfg   Config
@@ -273,10 +260,11 @@ type System struct {
 
 	// ctl schedules all global control — checkpoint attempts and their
 	// drain and stall polls, the watchdog, fault injection, policy
-	// timers (see control). repoll is the drain and log-stall re-poll
-	// delay: 20 cycles on the classic engine, the next window edge (1)
-	// on the tile engine.
-	ctl    control
+	// timers: the kernel on the classic engine, the shard group's
+	// window-edge control on the tile engine. repoll is the drain and
+	// log-stall re-poll delay: 20 cycles on the classic engine, the
+	// next window edge (1) on the tile engine.
+	ctl    sim.Scheduler
 	repoll sim.Time
 
 	// sh is the tile engine's runtime (nil on the classic engine). See
@@ -522,8 +510,6 @@ func directoryConfigFor(cfg Config) directory.Config {
 	}
 	dcfg := directory.DefaultConfig(cfg.Nodes, v)
 	dcfg.Sharers = cfg.Sharers
-	dcfg.SharerPointers = cfg.SharerPointers
-	dcfg.SharerClusterSize = cfg.SharerClusterSize
 	dcfg.TimeoutCycles = cfg.TimeoutCycles
 	overrideCaches(&dcfg.CacheConfig, cfg)
 	return dcfg
@@ -1152,14 +1138,4 @@ func Table2(cfg Config) string {
 		cfg.CheckpointInterval, cfg.SnoopCheckpointRequests))
 	t.AddRow("Register Checkpoint Latency", "100 cycles")
 	return t.String()
-}
-
-// simplifiedNet and deflectionNet are small helpers for tests and
-// examples that need the §4 network shapes at the standard geometry.
-func simplifiedNet(bufSize int) network.Config {
-	return network.SimplifiedConfig(4, 4, 0.2, bufSize)
-}
-
-func deflectionNet() network.Config {
-	return network.DeflectionConfig(4, 4, 0.2)
 }

@@ -1,18 +1,26 @@
-package specsimp_test
+package specsimp
 
 import (
 	"strings"
 	"testing"
 
-	"specsimp"
+	"specsimp/internal/coherence"
+	"specsimp/internal/core"
+	"specsimp/internal/directory"
+	"specsimp/internal/network"
+	"specsimp/internal/sim"
+	"specsimp/internal/snoop"
+	"specsimp/internal/system"
+	"specsimp/internal/workload"
 )
 
-// The facade tests double as API documentation: everything a downstream
-// user needs is reachable from the root package.
+// These tests take, from outside the implementation packages, the
+// paths the examples and cmd/tables take. Each behaviour is also
+// checked inside the package that owns it.
 
 func TestFacadeQuickstart(t *testing.T) {
-	cfg := specsimp.DefaultConfig(specsimp.DirectorySpec, specsimp.Uniform)
-	res := specsimp.RunOne(cfg, 300_000)
+	cfg := system.DefaultConfig(system.DirectorySpec, workload.Uniform)
+	res := system.RunOne(cfg, 300_000)
 	if res.Instructions == 0 || res.Perf <= 0 {
 		t.Fatalf("no progress: %+v", res)
 	}
@@ -22,36 +30,35 @@ func TestFacadeQuickstart(t *testing.T) {
 }
 
 func TestFacadeTables(t *testing.T) {
-	if !strings.Contains(specsimp.Table1(), "SafetyNet") {
+	if !strings.Contains(core.Table1(), "SafetyNet") {
 		t.Fatal("Table 1 broken")
 	}
-	cfg := specsimp.DefaultConfig(specsimp.SnoopSpec, specsimp.OLTP)
-	if !strings.Contains(specsimp.Table2(cfg), "torus") {
+	cfg := system.DefaultConfig(system.SnoopSpec, workload.OLTP)
+	if !strings.Contains(system.Table2(cfg), "torus") {
 		t.Fatal("Table 2 broken")
 	}
 }
 
 func TestFacadeWorkloads(t *testing.T) {
-	suite := specsimp.WorkloadSuite()
-	if len(suite) != 5 {
-		t.Fatalf("suite size %d", len(suite))
+	if len(workload.Suite) != 5 {
+		t.Fatalf("suite size %d", len(workload.Suite))
 	}
-	if _, ok := specsimp.WorkloadByName("oltp"); !ok {
+	if _, ok := workload.ByName("oltp"); !ok {
 		t.Fatal("oltp missing")
 	}
 }
 
 func TestFacadeNetworkDemo(t *testing.T) {
-	// The Figure 1 scenario through the public API.
-	k := specsimp.NewKernel()
-	net := specsimp.NewNetwork(k, specsimp.AdaptiveNetConfig(4, 4, 1.0))
+	// The Figure 1 scenario of examples/reorder.
+	k := sim.NewKernel()
+	net := network.New(k, network.AdaptiveConfig(4, 4, 1.0))
 	var got []uint64
-	net.AttachClient(5, specsimp.NetClientFunc(func(m *specsimp.NetMessage) bool {
+	net.AttachClient(5, network.ClientFunc(func(m *network.Message) bool {
 		got = append(got, m.Seq)
 		return true
 	}))
-	net.Send(&specsimp.NetMessage{Src: 0, Dst: 5, VNet: 1, Size: 2000})
-	k.At(1, func() { net.Send(&specsimp.NetMessage{Src: 0, Dst: 5, VNet: 1, Size: 8}) })
+	net.Send(&network.Message{Src: 0, Dst: 5, VNet: 1, Size: 2000})
+	k.At(1, func() { net.Send(&network.Message{Src: 0, Dst: 5, VNet: 1, Size: 8}) })
 	k.Drain(1_000_000)
 	if len(got) != 2 || got[0] != 1 {
 		t.Fatalf("expected the Figure 1 reorder, got %v", got)
@@ -59,12 +66,15 @@ func TestFacadeNetworkDemo(t *testing.T) {
 }
 
 func TestFacadeProtocolLevel(t *testing.T) {
-	// Protocol-level API: drive the directory protocol directly.
-	k := specsimp.NewKernel()
-	net := specsimp.NewNetwork(k, specsimp.SafeStaticConfig(4, 4, 0.8))
-	p := specsimp.NewDirectoryProtocol(k, net, specsimp.DefaultDirectoryConfig(16, specsimp.DirFull))
+	// Drive the directory protocol directly, without a machine.
+	k := sim.NewKernel()
+	net := network.New(k, network.SafeStaticConfig(4, 4, 0.8))
+	p, err := directory.NewChecked(k, net, directory.DefaultConfig(16, directory.Full), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	done := false
-	p.Access(3, specsimp.Addr(0x1000), specsimp.Store, func() { done = true })
+	p.Access(3, coherence.Addr(0x1000), coherence.Store, func() { done = true })
 	k.Drain(1_000_000)
 	if !done {
 		t.Fatal("protocol-level access never completed")
@@ -78,24 +88,23 @@ func TestFacadeProtocolLevel(t *testing.T) {
 }
 
 func TestFacadeComplexityComparison(t *testing.T) {
-	df, ds := specsimp.DirectoryComplexity(specsimp.DirFull), specsimp.DirectoryComplexity(specsimp.DirSpec)
+	df, ds := directory.ComplexityOf(directory.Full), directory.ComplexityOf(directory.Spec)
 	if ds.CacheTransitions >= df.CacheTransitions {
 		t.Fatal("speculation did not simplify the directory protocol")
 	}
-	sf, ss := specsimp.SnoopComplexity(specsimp.SnFull), specsimp.SnoopComplexity(specsimp.SnSpec)
+	sf, ss := snoop.ComplexityOf(snoop.Full), snoop.ComplexityOf(snoop.Spec)
 	if ss.Transitions != sf.Transitions-1 {
 		t.Fatal("snooping complexity delta is not exactly the corner case")
 	}
 }
 
 func TestFacadeSpeculations(t *testing.T) {
-	for _, s := range []specsimp.Speculation{specsimp.P2POrdering, specsimp.SnoopCorner, specsimp.NoVCDeadlock} {
-		c := s.Characterize()
-		if c.Recovery != "SafetyNet" {
-			t.Fatalf("%s: recovery %q", s.Name(), c.Recovery)
+	for _, s := range []core.Speculation{core.P2POrdering, core.SnoopCorner, core.NoVCDeadlock} {
+		if s.Recovery != "SafetyNet" {
+			t.Fatalf("%s: recovery %q", s.Name, s.Recovery)
 		}
-		if c.Infrequency == "" || c.Detection == "" || c.ForwardProgress == "" {
-			t.Fatalf("%s: incomplete characterization", s.Name())
+		if s.Infrequency == "" || s.Detection == "" || s.ForwardProgress == "" {
+			t.Fatalf("%s: incomplete characterization", s.Name)
 		}
 	}
 }

@@ -6,7 +6,10 @@ import (
 	"path/filepath"
 	"testing"
 
+	"specsimp/internal/core"
 	"specsimp/internal/experiments"
+	"specsimp/internal/system"
+	"specsimp/internal/workload"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden table files under testdata/")
@@ -40,11 +43,11 @@ func checkGolden(t *testing.T, name, got string) {
 func cellAt(mean, std float64) experiments.Cell { return experiments.Cell{Mean: mean, Std: std} }
 
 func TestGoldenTable1(t *testing.T) {
-	checkGolden(t, "table1", Table1())
+	checkGolden(t, "table1", core.Table1())
 }
 
 func TestGoldenTable2(t *testing.T) {
-	checkGolden(t, "table2", Table2(DefaultConfig(DirectorySpec, OLTP)))
+	checkGolden(t, "table2", system.Table2(system.DefaultConfig(system.DirectorySpec, workload.OLTP)))
 }
 
 func TestGoldenFig4Table(t *testing.T) {
@@ -127,6 +130,6 @@ func TestGoldenScaleTable(t *testing.T) {
 // TestGoldenTable2Scales guards the sized variant: the 8×8 Table 2
 // parameter block renders the scaled geometry.
 func TestGoldenTable2Scaled(t *testing.T) {
-	cfg := DefaultConfigSized(SnoopSpec, OLTP, 8, 8)
-	checkGolden(t, "table2-8x8", Table2(cfg))
+	cfg := system.DefaultConfigSized(system.SnoopSpec, workload.OLTP, 8, 8)
+	checkGolden(t, "table2-8x8", system.Table2(cfg))
 }
